@@ -14,7 +14,7 @@ from typing import Optional
 
 from .automata import MealyAutomaton, PartialSemiautomaton, image
 from .landau import landau, max_order_permutation
-from .semigroup import CapExceeded, Transformation, closure, compose
+from .semigroup import CapExceeded, Transformation, complexity, compose
 
 
 def fig1_automaton(n: int) -> MealyAutomaton:
@@ -136,8 +136,7 @@ def verify_lower_bound(n: int, k: int, cap: int = 20_000_000) -> LowerBoundRepor
     inst = sokolovskii_instance(n, k)
     if n ** n > cap:
         raise CapExceeded(f"closure may hold up to {n ** n} elements (cap {cap})")
-    level = closure(inst.basis).level
-    computed = level.get(inst.target)
+    computed = complexity(inst.basis, inst.target)
     bound = comb(n - 1, k) * (inst.order - 1)
     exact = inst.m * (inst.order - 1)
     if bound == 0:

@@ -28,8 +28,7 @@ def _records(text: str):
             yield lineno, line
 
 
-def _ints(lineno: int, line: str, count: int) -> list[int]:
-    parts = line.split()
+def _ints(lineno: int, parts: list[str], count: int) -> list[int]:
     if len(parts) != count:
         raise FormatError(f"line {lineno}: expected {count} fields, got {len(parts)}")
     try:
@@ -48,23 +47,27 @@ def loads(text: str) -> Automaton:
     if kind == "mealy":
         if len(fields) != 4:
             raise FormatError(f"line {lineno}: mealy header needs 3 numbers")
-        n, a, b = (int(f) for f in fields[1:])
-        return _load_mealy(n, a, b, records[1:])
+        n, a, b = _ints(lineno, fields[1:], 3)
+        return _load_mealy(lineno, n, a, b, records[1:])
     if kind == "psemi":
         if len(fields) != 3:
             raise FormatError(f"line {lineno}: psemi header needs 2 numbers")
-        n, a = (int(f) for f in fields[1:])
-        return _load_psemi(n, a, records[1:])
+        n, a = _ints(lineno, fields[1:], 2)
+        return _load_psemi(lineno, n, a, records[1:])
     raise FormatError(f"line {lineno}: unknown header {kind!r}")
 
 
-def _load_mealy(n: int, a: int, b: int, records) -> MealyAutomaton:
+def _load_mealy(header: int, n: int, a: int, b: int, records) -> MealyAutomaton:
     nxt = [[None] * a for _ in range(n)]
     out = [[None] * a for _ in range(n)]
     for lineno, line in records:
-        q, x, q2, y = _ints(lineno, line, 4)
+        q, x, q2, y = _ints(lineno, line.split(), 4)
         if not (0 <= q < n and 0 <= x < a):
             raise FormatError(f"line {lineno}: (state, input) = ({q}, {x}) out of range")
+        if not 0 <= q2 < n:
+            raise FormatError(f"line {lineno}: target state {q2} out of range")
+        if not 0 <= y < b:
+            raise FormatError(f"line {lineno}: output {y} out of range")
         if nxt[q][x] is not None:
             raise FormatError(f"line {lineno}: duplicate pair ({q}, {x})")
         nxt[q][x] = q2
@@ -72,22 +75,24 @@ def _load_mealy(n: int, a: int, b: int, records) -> MealyAutomaton:
     for q in range(n):
         for x in range(a):
             if nxt[q][x] is None:
-                raise FormatError(f"line 1: missing transition for state {q}, input {x}")
+                raise FormatError(f"line {header}: missing transition for state {q}, input {x}")
     try:
         return MealyAutomaton(n, a, b,
                               tuple(tuple(r) for r in nxt),
                               tuple(tuple(r) for r in out))
     except ValueError as e:
-        raise FormatError(f"line 1: {e}") from None
+        raise FormatError(f"line {header}: {e}") from None
 
 
-def _load_psemi(n: int, a: int, records) -> PartialSemiautomaton:
+def _load_psemi(header: int, n: int, a: int, records) -> PartialSemiautomaton:
     nxt = [[None] * a for _ in range(n)]
     seen = set()
     for lineno, line in records:
-        q, x, q2 = _ints(lineno, line, 3)
+        q, x, q2 = _ints(lineno, line.split(), 3)
         if not (0 <= q < n and 0 <= x < a):
             raise FormatError(f"line {lineno}: (state, input) = ({q}, {x}) out of range")
+        if not 0 <= q2 < n:
+            raise FormatError(f"line {lineno}: target state {q2} out of range")
         if (q, x) in seen:
             raise FormatError(f"line {lineno}: duplicate pair ({q}, {x})")
         seen.add((q, x))
@@ -95,7 +100,7 @@ def _load_psemi(n: int, a: int, records) -> PartialSemiautomaton:
     try:
         return PartialSemiautomaton(n, a, tuple(tuple(r) for r in nxt))
     except ValueError as e:
-        raise FormatError(f"line 1: {e}") from None
+        raise FormatError(f"line {header}: {e}") from None
 
 
 def dumps(aut: Automaton) -> str:

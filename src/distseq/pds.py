@@ -127,7 +127,8 @@ def worst_case_pds(n: int, a: int, b: int, k: int,
 
     Enumerates all complete Mealy automata with n states, a inputs and b
     outputs, and maximizes the shortest-PDS length over every k-element
-    state subset.  Pairs without a PDS contribute 0.
+    state subset.  Subsets without a PDS contribute 0; a search stopped by
+    the node cap raises CapExceeded rather than count as 0.
 
     Note: the worst case over ALL n-state automata places no bound on the
     alphabets; this function fixes (a, b), so its value is a lower bound
@@ -148,7 +149,11 @@ def worst_case_pds(n: int, a: int, b: int, k: int,
                     for q in range(n))
         for S in subsets:
             res = _search(nxt, out, a, S, None, DEFAULT_NODE_CAP)
-            if res.status == FOUND and res.length > best.max_length:
-                best = WorstCaseResult(
-                    res.length, MealyAutomaton(n, a, b, nxt, out), S)
+            if res.status == FOUND:
+                if res.length > best.max_length:
+                    best = WorstCaseResult(
+                        res.length, MealyAutomaton(n, a, b, nxt, out), S)
+            elif res.status == GAVE_UP:
+                raise CapExceeded(f"node cap {DEFAULT_NODE_CAP} exceeded on "
+                                  f"subset {S} before the search finished")
     return best

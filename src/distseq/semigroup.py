@@ -2,12 +2,15 @@
 
 A transformation is a plain tuple t of length n with t[i] = image of
 point i.  The composition fg is the LEFT composition x -> g(f(x)).
+Closure searches keep elements as bytes for n <= 256 (tuples above) and
+hand tuples back at the public API.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
+from collections.abc import ItemsView, Mapping
 from itertools import permutations
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -80,23 +83,70 @@ class PartialBijection:
         return tuple(sorted(self.images))
 
 
+class _Levels(Mapping):
+    """Read-only tuple-keyed view of a level dict keyed by packed elements.
+
+    Keys are packed on lookup and unpacked on iteration, so callers see
+    tuples while the search keeps its compact keys.
+    """
+
+    __slots__ = ("_levels", "_pack")
+
+    def __init__(self, levels: dict, pack):
+        self._levels = levels
+        self._pack = pack
+
+    def __getitem__(self, f):
+        try:
+            key = self._pack(f)
+        except (TypeError, ValueError):
+            raise KeyError(f) from None
+        return self._levels[key]
+
+    def __iter__(self):
+        return map(tuple, self._levels)
+
+    def __len__(self):
+        return len(self._levels)
+
+    def items(self):
+        return _LevelItems(self)
+
+    def values(self):
+        return self._levels.values()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _LevelItems(ItemsView):
+    def __iter__(self):
+        for f, d in self._mapping._levels.items():
+            yield tuple(f), d
+
+
 @dataclass(frozen=True)
 class ClosureResult:
     """Closure of a basis with, for each element, its shortest product length."""
 
-    level: dict  # Transformation -> int, >= 1; 1 exactly on the basis
+    level: Mapping  # Transformation -> int, >= 1; 1 exactly on the basis
 
     @property
     def elements(self) -> frozenset:
         return frozenset(self.level)
 
 
-def closure(basis: Iterable[Transformation]) -> ClosureResult:
-    """All products of basis elements, with shortest factorization lengths.
+def _compose_tuples(f: tuple, g: tuple) -> tuple:
+    return tuple(map(g.__getitem__, f))
 
-    BFS under right-multiplication by basis members; every length-l
-    product has a length-(l-1) prefix in the closure, so the first visit
-    depth is the complexity.
+
+def _kernel(basis: Iterable[Transformation]):
+    """Validate a basis and choose the element encoding for its ground set.
+
+    Returns (n, pack, compose, elements, actions): for n <= 256 elements
+    are bytes and each basis map acts through bytes.translate with a
+    256-byte table; for larger n both are tuples.  Equal-length bytes
+    order like the tuples they encode.
     """
     basis = [tuple(f) for f in basis]
     if not basis:
@@ -104,26 +154,60 @@ def closure(basis: Iterable[Transformation]) -> ClosureResult:
     n = len(basis[0])
     if any(len(f) != n for f in basis):
         raise ValueError("basis elements act on different ground sets")
+    if any(not 0 <= x < n for f in basis for x in f):
+        raise ValueError("basis maps a point outside the ground set")
+    if n <= 256:
+        pad = bytes(256 - n)
+        return n, bytes, bytes.translate, [bytes(f) for f in basis], \
+            [bytes(f) + pad for f in basis]
+    return n, tuple, _compose_tuples, basis, basis
+
+
+def _bfs(elements, actions, compose, target=None) -> dict:
+    """Level of each product of the basis, in breadth-first order.
+
+    BFS under right-multiplication by basis members; every length-l
+    product has a length-(l-1) prefix in the closure, so the first visit
+    depth is the complexity.  Stops as soon as target is reached.
+    """
     level = {}
-    queue = deque()
-    for f in basis:
+    frontier = []
+    for f in elements:
         if f not in level:
             level[f] = 1
-            queue.append(f)
-    while queue:
-        f = queue.popleft()
-        d = level[f]
-        for g in basis:
-            h = tuple(g[x] for x in f)
-            if h not in level:
-                level[h] = d + 1
-                queue.append(h)
-    return ClosureResult(level)
+            frontier.append(f)
+    if target in level:
+        return level
+    d = 1
+    while frontier:
+        d += 1
+        nxt = []
+        for f in frontier:
+            for g in actions:
+                h = compose(f, g)
+                if h not in level:
+                    level[h] = d
+                    if h == target:
+                        return level
+                    nxt.append(h)
+        frontier = nxt
+    return level
+
+
+def closure(basis: Iterable[Transformation]) -> ClosureResult:
+    """All products of basis elements, with shortest factorization lengths."""
+    _, pack, compose, elements, actions = _kernel(basis)
+    return ClosureResult(_Levels(_bfs(elements, actions, compose), pack))
 
 
 def complexity(basis: Iterable[Transformation], f: Transformation) -> Optional[int]:
     """Shortest number of basis factors expressing f, or None if f is not generated."""
-    return closure(basis).level.get(tuple(f))
+    n, pack, compose, elements, actions = _kernel(basis)
+    f = tuple(f)
+    if len(f) != n or any(not 0 <= x < n for x in f):
+        return None
+    target = pack(f)
+    return _bfs(elements, actions, compose, target).get(target)
 
 
 def restriction_complexity(basis: Iterable[Transformation],

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +93,27 @@ class TestSemigroupCommands:
         assert code == 0
         assert value_of(out, "result.size") == "2"
         assert value_of(out, "result.max_level") == "2"
+
+    @pytest.mark.parametrize("ground,maps,size,max_level,witness", [
+        ("4", "1,2,3,0;1,0,2,3", "24", "6", "1,0,3,2"),
+        ("5", "1,2,3,4,0;1,0,2,3,4;0,0,2,3,4", "3125", "16", "2,0,1,0,1"),
+    ])
+    def test_closure_witness(self, capsys, ground, maps, size, max_level,
+                             witness):
+        code = dispatch(["semigroup", "closure", "--ground", ground,
+                         "--maps", maps])
+        out = lines_of(capsys)
+        assert code == 0
+        assert value_of(out, "result.size") == size
+        assert value_of(out, "result.max_level") == max_level
+        assert value_of(out, "result.witness") == witness
+
+    def test_closure_map_outside_ground_set(self, capsys):
+        code = dispatch(["semigroup", "closure", "--ground", "2",
+                         "--maps", "1,2"])
+        out = lines_of(capsys)
+        assert code == 1
+        assert value_of(out, "status") == "error"
 
     def test_worst_t2(self, capsys):
         code = dispatch(["semigroup", "worst", "--ground", "2", "--set", "tn"])
@@ -204,3 +229,24 @@ def test_verify_quick(capsys):
     assert code == 0
     assert out.count("PASS") >= 8
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "table", "--n-max", "400"],   # fails while writing
+    ["landau", "--k", "5"],                  # fails at the final flush
+])
+def test_closed_stdout_exits_quietly(argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "distseq.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

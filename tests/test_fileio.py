@@ -55,3 +55,28 @@ def test_unknown_header():
 def test_out_of_range_target():
     with pytest.raises(fileio.FormatError):
         fileio.loads("psemi 2 1\n0 0 7\n")
+
+
+def test_non_integer_header():
+    with pytest.raises(fileio.FormatError, match="line 2: non-integer"):
+        fileio.loads("# comment\nmealy x 2 2\n")
+
+
+def test_out_of_range_mealy_target_reports_line():
+    with pytest.raises(fileio.FormatError, match="line 3: target state 5"):
+        fileio.loads("mealy 2 1 1\n0 0 1 0\n1 0 5 0\n")
+
+
+def test_out_of_range_output_reports_line():
+    with pytest.raises(fileio.FormatError, match="line 4: output 7"):
+        fileio.loads("mealy 2 1 2\n0 0 1 0\n\n1 0 0 7\n")
+
+
+def test_out_of_range_psemi_target_reports_line():
+    with pytest.raises(fileio.FormatError, match="line 3: target state 9"):
+        fileio.loads("psemi 2 1\n0 0 1\n1 0 9\n")
+
+
+def test_missing_cell_names_header_line():
+    with pytest.raises(fileio.FormatError, match="line 2: missing"):
+        fileio.loads("# comment\nmealy 2 1 1\n0 0 1 0\n")

@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+from distseq import pds
 from distseq.automata import MealyAutomaton, run, uncertainty
 from distseq.extremal import fig1_automaton
 from distseq.pds import (CapExceeded, has_pds, shortest_pds, worst_case_pds,
@@ -115,3 +116,8 @@ class TestWorstCase:
     def test_cap_refuses_with_estimate(self):
         with pytest.raises(CapExceeded, match="46656"):
             worst_case_pds(3, 2, 2, 2, cap=100)
+
+    def test_node_cap_hit_raises(self, monkeypatch):
+        monkeypatch.setattr(pds, "DEFAULT_NODE_CAP", 1)
+        with pytest.raises(CapExceeded, match="node cap 1"):
+            worst_case_pds(2, 2, 2, 2)

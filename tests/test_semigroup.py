@@ -1,7 +1,9 @@
 import random
+from collections import deque
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distseq.semigroup import (CapExceeded, PartialBijection, closure,
                                complexity, compose, directed_diameter,
@@ -211,3 +213,67 @@ def test_transformation_order():
 def test_is_bijection():
     assert is_bijection((2, 0, 1))
     assert not is_bijection((0, 0, 1))
+
+
+def tuple_closure(basis):
+    """Reference closure: breadth-first over tuples built with compose."""
+    level = {}
+    queue = deque()
+    for f in basis:
+        if f not in level:
+            level[f] = 1
+            queue.append(f)
+    while queue:
+        f = queue.popleft()
+        for g in basis:
+            h = compose(f, g)
+            if h not in level:
+                level[h] = level[f] + 1
+                queue.append(h)
+    return level
+
+
+def bases(n):
+    maps = st.tuples(*[st.integers(0, n - 1)] * n)
+    return st.lists(maps, min_size=1, max_size=3)
+
+
+class TestKernelAgainstTupleBfs:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        bases(n), st.tuples(*[st.integers(0, n - 1)] * n))), st.data())
+    def test_small_ground_sets(self, case, data):
+        basis, outside = case
+        ref = tuple_closure(basis)
+        level = closure(basis).level
+        assert level == ref
+        assert list(level.items()) == list(ref.items())
+        assert len(level) == len(ref)
+        inside = data.draw(st.sampled_from(sorted(ref)))
+        for f in (inside, outside):
+            assert complexity(basis, f) == ref.get(f)
+            assert level.get(f) == ref.get(f)
+
+    def test_cycle_past_byte_range(self):
+        n = 300
+        cycle = tuple((i + 1) % n for i in range(n))
+        ref = tuple_closure([cycle])
+        level = closure([cycle]).level
+        assert level == ref
+        assert level[identity(n)] == n
+        shift = tuple((i + 7) % n for i in range(n))
+        assert complexity([cycle], shift) == 7
+        assert complexity([cycle], identity(n)) == n
+        assert complexity([cycle], (0,) * n) is None
+
+    def test_keys_outside_the_ground_set(self):
+        level = closure([SWAP]).level
+        for key in ((0, 2), (-1, 0), (0, 1, 2), (0, 256)):
+            assert key not in level
+            assert level.get(key) is None
+            assert complexity([SWAP], key) is None
+
+    def test_basis_outside_the_ground_set_rejected(self):
+        for basis in ([(0, 2)], [(-1, 0)], [(0, 1), (1, 300)]):
+            with pytest.raises(ValueError):
+                closure(basis)
