@@ -97,11 +97,12 @@ class _Levels(Mapping):
         self._pack = pack
 
     def __getitem__(self, f):
-        try:
-            key = self._pack(f)
-        except (TypeError, ValueError):
-            raise KeyError(f) from None
-        return self._levels[key]
+        if isinstance(f, tuple):  # bytes(2) would pack an int as (0, 0)
+            try:
+                return self._levels[self._pack(f)]
+            except (KeyError, TypeError, ValueError):
+                pass
+        raise KeyError(f)
 
     def __iter__(self):
         return map(tuple, self._levels)

@@ -267,11 +267,14 @@ class TestKernelAgainstTupleBfs:
         assert complexity([cycle], (0,) * n) is None
 
     def test_keys_outside_the_ground_set(self):
-        level = closure([SWAP]).level
+        basis = [SWAP, (0, 0)]
+        level = closure(basis).level
         for key in ((0, 2), (-1, 0), (0, 1, 2), (0, 256)):
             assert key not in level
             assert level.get(key) is None
-            assert complexity([SWAP], key) is None
+            assert complexity(basis, key) is None
+        assert 2 not in level
+        assert (0, 0) in level
 
     def test_basis_outside_the_ground_set_rejected(self):
         for basis in ([(0, 2)], [(-1, 0)], [(0, 1), (1, 300)]):
