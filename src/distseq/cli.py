@@ -20,8 +20,8 @@ from .extremal import (check_cycle_characterization, fig1_automaton,
 from .kgraph import (build_kgraph, compress_walk_report, eval_walk, scc, to_dot,
                      walk_from_basis_indices)
 from .landau import landau
-from .pds import shortest_pds, worst_case_pds, CapExceeded as PdsCap
-from .semigroup import (CapExceeded as SemiCap, closure, directed_diameter,
+from .pds import shortest_pds, worst_case_pds
+from .semigroup import (CapExceeded, closure, directed_diameter,
                         worst_case_complexity)
 
 STATE_NUMBERING = "q1..qn -> 0..n-1"
@@ -40,10 +40,15 @@ def _parse_word(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(","))
 
 
-def _parse_maps(text: str) -> list[tuple[int, ...]]:
-    """Semicolon-separated image arrays, e.g. '1,0;0,0'."""
-    return [tuple(int(p) for p in chunk.split(","))
-            for chunk in text.split(";") if chunk.strip()]
+def _maps(args) -> list[tuple[int, ...]]:
+    """The --maps image arrays ('1,0;0,0'), each a self-map of 0..ground-1."""
+    maps = [tuple(int(p) for p in chunk.split(","))
+            for chunk in args.maps.split(";") if chunk.strip()]
+    if any(len(f) != args.ground for f in maps):
+        raise ValueError("every map must list one image per ground point")
+    if any(not 0 <= x < args.ground for f in maps for x in f):
+        raise ValueError("every image must lie in 0..ground-1")
+    return maps
 
 
 def _fmt_partition(p: Partition) -> str:
@@ -108,10 +113,7 @@ def _cmd_pds_worst(args):
 
 
 def _cmd_semigroup_closure(args):
-    maps = _parse_maps(args.maps)
-    if any(len(f) != args.ground for f in maps):
-        raise ValueError("every map must list one image per ground point")
-    res = closure(maps)
+    res = closure(_maps(args))
     worst = max(res.level.values())
     witness = min(f for f, d in res.level.items() if d == worst)
     inputs = {"ground": args.ground, "maps": args.maps}
@@ -135,16 +137,12 @@ def _cmd_semigroup_worst(args):
 
 
 def _cmd_semigroup_diam(args):
-    maps = _parse_maps(args.maps)
-    value = directed_diameter(maps)
+    value = directed_diameter(_maps(args))
     return "ok", {"ground": args.ground, "maps": args.maps}, {"value": value}
 
 
 def _build_graph_from_args(args):
-    maps = _parse_maps(args.maps)
-    if any(len(f) != args.ground for f in maps):
-        raise ValueError("every map must list one image per ground point")
-    return build_kgraph(maps, args.k, cap=args.cap_subsets)
+    return build_kgraph(_maps(args), args.k, cap=args.cap_subsets)
 
 
 def _cmd_kgraph_build(args):
@@ -286,12 +284,6 @@ def _cmd_verify(args):
         {"checks": len(results), "failed": ",".join(failed) or "none"}
 
 
-def _add_caps(p):
-    p.add_argument("--cap-nodes", type=int, default=10_000_000)
-    p.add_argument("--cap-bases", type=int, default=1 << 20)
-    p.add_argument("--cap-subsets", type=int, default=1_000_000)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="distseq",
@@ -309,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True)
     p.add_argument("--subset", required=True, help="0-based comma list")
     p.add_argument("--max-len", type=int, default=None)
-    _add_caps(p)
+    p.add_argument("--cap-nodes", type=int, default=10_000_000)
 
     p = add("pds-worst", _cmd_pds_worst,
             help="exhaustive worst case at fixed alphabet sizes")
@@ -415,7 +407,7 @@ def dispatch(argv=None) -> int:
     except (ValueError, fileio.FormatError, OSError) as e:
         return _emit(args, name, "error", {}, {"message": str(e)},
                      time.perf_counter() - t0)
-    except (PdsCap, SemiCap) as e:
+    except CapExceeded as e:
         return _emit(args, name, "gave-up", {}, {"message": str(e)},
                      time.perf_counter() - t0)
     return _emit(args, name, status, inputs, result, time.perf_counter() - t0)

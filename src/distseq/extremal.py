@@ -130,12 +130,13 @@ class LowerBoundReport:
     equals_exact: bool
 
 
-def verify_lower_bound(n: int, k: int, cap: int = 20_000_000) -> LowerBoundReport:
+def verify_lower_bound(n: int, k: int) -> LowerBoundReport:
     """Compute the exact complexity of the instance's target map over its
-    basis and compare it with the guaranteed lower bound C(n-1,k)(g(k)-1)."""
+    basis and compare it with the guaranteed lower bound C(n-1,k)(g(k)-1).
+
+    Raises CapExceeded when the search stores more than
+    semigroup.DEFAULT_ELEMENT_CAP elements before reaching the target."""
     inst = sokolovskii_instance(n, k)
-    if n ** n > cap:
-        raise CapExceeded(f"closure may hold up to {n ** n} elements (cap {cap})")
     computed = complexity(inst.basis, inst.target)
     bound = comb(n - 1, k) * (inst.order - 1)
     exact = inst.m * (inst.order - 1)

@@ -14,8 +14,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Optional
 
-from .semigroup import (PartialBijection, Transformation, compose, identity,
-                        transformation_order, CapExceeded)
+from .semigroup import (CapExceeded, PartialBijection, Transformation,
+                        checked_basis, compose, identity, transformation_order)
 
 Vertex = tuple[int, ...]
 
@@ -52,12 +52,8 @@ class KGraph:
 
 def build_kgraph(basis: Iterable[Transformation], k: int,
                  cap: int = 1_000_000) -> KGraph:
-    basis = tuple(tuple(f) for f in basis)
-    if not basis:
-        raise ValueError("basis must be non-empty")
+    basis = tuple(checked_basis(basis))
     n = len(basis[0])
-    if any(len(f) != n for f in basis):
-        raise ValueError("basis elements act on different ground sets")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if comb(n, k) > cap:
@@ -105,6 +101,9 @@ def walk_from_basis_indices(g: KGraph, start: Vertex,
     """Build a walk by following basis maps from start; each step must be an arc."""
     steps = []
     cur = tuple(start)
+    if cur not in g.out:
+        raise ValueError(f"start {cur} is not a vertex (a sorted "
+                         f"{g.k}-subset of 0..{g.n - 1})")
     for bi in basis_indices:
         arc_idx = next((i for i in g.out[cur] if g.arcs[i].basis_index == bi), None)
         if arc_idx is None:
@@ -173,31 +172,41 @@ def scc(g: KGraph) -> list[list[Vertex]]:
     return components
 
 
+def _shortest_word(start, goal, moves) -> Optional[list]:
+    """Labels along a shortest path from start to goal, or None if unreachable.
+
+    Breadth-first search with parent pointers; moves(x) yields the
+    (label, successor) pairs of x, and ties go to the earlier-yielded
+    move.  Returns [] when start == goal.
+    """
+    if start == goal:
+        return []
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for label, y in moves(x):
+            if y in parent:
+                continue
+            parent[y] = (x, label)
+            if y == goal:
+                word = []
+                while parent[y] is not None:
+                    y, label = parent[y]
+                    word.append(label)
+                return word[::-1]
+            queue.append(y)
+    return None
+
+
 def shortest_path(g: KGraph, u: Vertex, v: Vertex) -> Optional[list[int]]:
     """Shortest arc sequence from u to v; lexicographic tie-break on basis index.
 
     Vertices are visited once, so the result is a path of length at most
     |V(G)| - 1.  Returns [] when u == v and None when v is unreachable.
     """
-    if u == v:
-        return []
-    parent: dict[Vertex, tuple[Vertex, int]] = {u: None}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for arc_idx in sorted(g.out[x], key=lambda i: g.arcs[i].basis_index):
-            y = g.arcs[arc_idx].target
-            if y in parent:
-                continue
-            parent[y] = (x, arc_idx)
-            if y == v:
-                path = []
-                while parent[y] is not None:
-                    y, idx = parent[y]
-                    path.append(idx)
-                return path[::-1]
-            queue.append(y)
-    return None
+    return _shortest_word(u, v, lambda x: ((i, g.arcs[i].target)
+                                           for i in g.out[x]))
 
 
 def _position_perm(domain: Vertex, images: tuple[int, ...]) -> Transformation:
@@ -244,37 +253,6 @@ class ComponentReport:
     length: int         # arcs in the compressed piece
 
 
-def _factorize(target: Transformation,
-               gens: list[Transformation]) -> list[int]:
-    """Shortest factorization of target over gens, as a list of gen indices.
-
-    BFS in the generated permutation group; target is a product of all
-    gens, so it is always reachable.  The identity factors as the empty
-    product.
-    """
-    k = len(target)
-    e = identity(k)
-    if target == e:
-        return []
-    parent: dict[Transformation, tuple[Transformation, int]] = {e: None}
-    queue = deque([e])
-    while queue:
-        p = queue.popleft()
-        for j, gen in enumerate(gens):
-            q = compose(p, gen)
-            if q in parent:
-                continue
-            parent[q] = (p, j)
-            if q == target:
-                seq = []
-                while parent[q] is not None:
-                    q, j = parent[q]
-                    seq.append(j)
-                return seq[::-1]
-            queue.append(q)
-    raise AssertionError("target not generated by its own factors")
-
-
 def _compress_segment(g: KGraph, start: Vertex, steps: list[int],
                       comp: list[Vertex]) -> tuple[list[int], ComponentReport]:
     """Compress one SCC-internal subwalk; returns equivalent arc list + stats."""
@@ -290,7 +268,11 @@ def _compress_segment(g: KGraph, start: Vertex, steps: list[int],
     pieces = [list(sat.steps[occ[j]:occ[j + 1]]) for j in range(len(occ) - 1)]
     perms = [_closed_walk_perm(g, pivot, p) for p in pieces]
     total = reduce(compose, perms, identity(g.k))
-    chosen = _factorize(total, perms)
+    # Shortest factorization of total over the pieces, as piece indices;
+    # total is their product, so the search in their group reaches it.
+    chosen = _shortest_word(identity(g.k), total,
+                            lambda p: ((j, compose(p, q))
+                                       for j, q in enumerate(perms)))
     new = head + [idx for j in chosen for idx in pieces[j]] + tail
     if len(new) > len(steps):
         new = list(steps)  # the original is equivalent and already shorter

@@ -14,16 +14,13 @@ from collections import deque
 from typing import Iterable, Optional
 
 from .automata import MealyAutomaton
+from .semigroup import CapExceeded
 
 FOUND = "found"
 ABSENT = "absent"
 GAVE_UP = "gave_up"
 
 DEFAULT_NODE_CAP = 10_000_000
-
-
-class CapExceeded(RuntimeError):
-    """An enumeration guard refused to run; the message carries a size estimate."""
 
 
 @dataclass(frozen=True)

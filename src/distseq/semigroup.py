@@ -18,8 +18,11 @@ from typing import Iterable, Optional, Sequence
 Transformation = tuple[int, ...]
 
 
+DEFAULT_ELEMENT_CAP = 20_000_000
+
+
 class CapExceeded(RuntimeError):
-    """An enumeration guard refused to run; the message carries a size estimate."""
+    """A search or enumeration hit its cap; the message names the count and the cap."""
 
 
 def identity(n: int) -> Transformation:
@@ -141,14 +144,8 @@ def _compose_tuples(f: tuple, g: tuple) -> tuple:
     return tuple(map(g.__getitem__, f))
 
 
-def _kernel(basis: Iterable[Transformation]):
-    """Validate a basis and choose the element encoding for its ground set.
-
-    Returns (n, pack, compose, elements, actions): for n <= 256 elements
-    are bytes and each basis map acts through bytes.translate with a
-    256-byte table; for larger n both are tuples.  Equal-length bytes
-    order like the tuples they encode.
-    """
+def checked_basis(basis: Iterable[Transformation]) -> list[Transformation]:
+    """The basis as tuples, checked to be non-empty self-maps of one ground set."""
     basis = [tuple(f) for f in basis]
     if not basis:
         raise ValueError("basis must be non-empty")
@@ -157,6 +154,19 @@ def _kernel(basis: Iterable[Transformation]):
         raise ValueError("basis elements act on different ground sets")
     if any(not 0 <= x < n for f in basis for x in f):
         raise ValueError("basis maps a point outside the ground set")
+    return basis
+
+
+def _kernel(basis: Iterable[Transformation]):
+    """Validate a basis and choose the element encoding for its ground set.
+
+    Returns (n, pack, compose, elements, actions): for n <= 256 elements
+    are bytes and each basis map acts through bytes.translate with a
+    256-byte table; for larger n both are tuples.  Equal-length bytes
+    order like the tuples they encode.
+    """
+    basis = checked_basis(basis)
+    n = len(basis[0])
     if n <= 256:
         pad = bytes(256 - n)
         return n, bytes, bytes.translate, [bytes(f) for f in basis], \
@@ -169,7 +179,9 @@ def _bfs(elements, actions, compose, target=None) -> dict:
 
     BFS under right-multiplication by basis members; every length-l
     product has a length-(l-1) prefix in the closure, so the first visit
-    depth is the complexity.  Stops as soon as target is reached.
+    depth is the complexity.  Stops as soon as target is reached, and
+    raises CapExceeded once a completed level leaves more than
+    DEFAULT_ELEMENT_CAP elements stored.
     """
     level = {}
     frontier = []
@@ -181,6 +193,9 @@ def _bfs(elements, actions, compose, target=None) -> dict:
         return level
     d = 1
     while frontier:
+        if len(level) > DEFAULT_ELEMENT_CAP:
+            raise CapExceeded(f"closure search stored {len(level)} elements by "
+                              f"level {d} (cap {DEFAULT_ELEMENT_CAP})")
         d += 1
         nxt = []
         for f in frontier:
@@ -312,17 +327,18 @@ def group_worst_diameter(G: Iterable[Transformation],
     G = sorted({tuple(f) for f in G})
     if any(not is_bijection(f) for f in G):
         raise ValueError("G must consist of bijections")
-    gset = frozenset(G)
-    if closure(G).elements != gset:
+    # G is inside closure(G), so equal sizes mean G is closed; then every
+    # basis drawn from G generates a subgroup of G, equal to G iff as large.
+    if len(closure(G).level) != len(G):
         raise ValueError("G is not closed under composition")
     if (1 << len(G)) - 1 > cap_bases:
         raise CapExceeded(f"would enumerate {(1 << len(G)) - 1} bases (cap {cap_bases})")
     best = None
     for basis in _subsets_in_order(G):
-        res = closure(basis)
-        if res.elements != gset:
+        level = closure(basis).level
+        if len(level) != len(G):
             continue
-        value = max(res.level.values())
+        value = max(level.values())
         if best is None or value > best:
             best = value
     if best is None:

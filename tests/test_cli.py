@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from distseq import fileio
+from distseq import fileio, semigroup
 from distseq.cli import dispatch
 
 
@@ -128,6 +128,19 @@ class TestSemigroupCommands:
         assert code == 0
         assert value_of(out, "result.value") == "3"
 
+    def test_diam_checks_maps_against_ground(self, capsys):
+        code = dispatch(["semigroup", "diam", "--ground", "5",
+                         "--maps", "1,0"])
+        assert code == 1
+        assert value_of(lines_of(capsys), "status") == "error"
+
+    def test_closure_gives_up_at_element_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(semigroup, "DEFAULT_ELEMENT_CAP", 10)
+        code = dispatch(["semigroup", "closure", "--ground", "4",
+                         "--maps", "1,2,3,0;1,0,2,3"])
+        assert code == 2
+        assert value_of(lines_of(capsys), "status") == "gave-up"
+
     def test_diam_rejects_non_bijection(self, capsys):
         assert dispatch(["semigroup", "diam", "--ground", "2",
                          "--maps", "0,0"]) == 1
@@ -158,6 +171,25 @@ class TestKgraphCommands:
         assert code == 0
         assert value_of(out, "result.original_length") == "3"
         assert value_of(out, "result.eval_domain") == "0,1"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["build", "--ground", "3", "--k", "2", "--maps", "1,2,7"],
+         "every image must lie in 0..ground-1"),
+        (["scc", "--ground", "3", "--k", "2", "--maps", "1,2,7"],
+         "every image must lie in 0..ground-1"),
+        (["compress", "--ground", "3", "--k", "2", "--maps", "1,2,7",
+          "--start", "0,1", "--walk", "0"],
+         "every image must lie in 0..ground-1"),
+        (["compress", "--ground", "3", "--k", "2", "--maps", "1,2,0",
+          "--start", "0,1,2", "--walk", "0"],
+         "start (0, 1, 2) is not a vertex (a sorted 2-subset of 0..2)"),
+    ])
+    def test_bad_input_is_error(self, capsys, argv, message):
+        # an uncaught KeyError would propagate out of dispatch
+        assert dispatch(["kgraph"] + argv) == 1
+        out = lines_of(capsys)
+        assert value_of(out, "status") == "error"
+        assert value_of(out, "result.message") == message
 
     def test_compress_bad_walk(self, capsys):
         assert dispatch(["kgraph", "compress", "--ground", "3", "--k", "2",

@@ -7,6 +7,7 @@ from distseq.automata import image, is_reduced
 from distseq.extremal import (LowerBoundReport, check_cycle_characterization,
                               fig1_automaton, sokolovskii_instance,
                               verify_lower_bound)
+from distseq import semigroup
 from distseq.semigroup import CapExceeded, closure, transformation_order
 
 
@@ -134,6 +135,13 @@ class TestVerifyLowerBound:
         assert tuple(full[q] for q in d1) == d1
         assert transformation_order(inst.pi) == inst.order
 
-    def test_guard(self):
+    def test_n9_k4_exact(self):
+        rep = verify_lower_bound(9, 4)
+        assert rep.computed == rep.bound == comb(8, 4) * (4 - 1) == 210
+        assert rep.passed and rep.equals_exact
+
+    def test_guard(self, monkeypatch):
+        # (5, 2) stores 48 elements before it reaches the target
+        monkeypatch.setattr(semigroup, "DEFAULT_ELEMENT_CAP", 40)
         with pytest.raises(CapExceeded):
-            verify_lower_bound(5, 2, cap=100)
+            verify_lower_bound(5, 2)

@@ -66,6 +66,17 @@ class TestBuild:
         with pytest.raises(CapExceeded):
             build_kgraph([identity(10)], 5, cap=10)
 
+    def test_map_outside_ground_set(self):
+        with pytest.raises(ValueError,
+                           match="basis maps a point outside the ground set"):
+            build_kgraph([(1, 2, 7)], 2)
+
+    def test_walk_start_must_be_a_vertex(self):
+        g = build_kgraph([(1, 2, 0)], 2)
+        for start in ((0, 1, 2), (1, 0), (0, 3)):
+            with pytest.raises(ValueError, match="not a vertex"):
+                walk_from_basis_indices(g, start, [0])
+
 
 def _brute_reachability(g):
     reach = {v: {v} for v in g.vertices}
@@ -228,6 +239,34 @@ def test_shortest_path_lengths():
     assert shortest_path(g, inst.subsets[0], inst.subsets[0]) == []
     p = shortest_path(g, inst.subsets[0], inst.subsets[2])
     assert p is not None and len(p) <= len(g.vertices) - 1
+
+
+# Arc lists captured before shortest_path and the piece factorization
+# shared one search; they pin the basis-index tie-break.
+PINNED_BASIS = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4), (0, 0, 2, 3, 4),
+                (2, 1, 0, 4, 4)]
+
+
+@pytest.mark.parametrize("u,v,arcs", [
+    ((0, 1), (3, 4), [0, 15, 27]),
+    ((3, 4), (0, 1), [35, 11]),
+    ((0, 2), (1, 3), [3]),
+    ((2, 4), (0, 4), [34]),
+])
+def test_shortest_path_pinned(u, v, arcs):
+    assert shortest_path(build_kgraph(PINNED_BASIS, 2), u, v) == arcs
+
+
+def test_compress_walk_pinned():
+    g = build_kgraph(PINNED_BASIS, 2)
+    walk = [3, 3, 3, 1, 1, 3, 1, 0, 3, 1, 0, 0, 3, 3, 1, 0, 0, 0, 0, 1, 1, 0,
+            3, 2, 3, 1, 1, 2, 3, 0, 0, 3, 3, 0, 2, 2, 1, 2, 0, 0, 0, 3, 0, 2, 3]
+    w = walk_from_basis_indices(g, (0, 1), walk)
+    assert compress_walk(w).steps == (0, 18, 0, 15, 30)
+    inst = sokolovskii_instance(5, 2)
+    g = build_kgraph(inst.basis, 2)
+    w = walk_from_basis_indices(g, inst.subsets[0], list(range(inst.m)) * 3)
+    assert compress_walk(w).steps == (0, 6, 12, 20, 26, 35)
 
 
 def test_dot_export():

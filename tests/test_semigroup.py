@@ -5,6 +5,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from distseq import pds, semigroup
 from distseq.semigroup import (CapExceeded, PartialBijection, closure,
                                complexity, compose, directed_diameter,
                                group_worst_diameter, identity, is_bijection,
@@ -81,6 +82,26 @@ class TestClosure:
             lo, hi = closure(small).level, closure(big).level
             for f, d in lo.items():
                 assert hi[f] <= d
+
+
+class TestElementCap:
+    S3 = [(1, 2, 0), (1, 0, 2)]
+
+    def test_cap_counts_stored_elements(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "DEFAULT_ELEMENT_CAP", 6)
+        assert len(closure(self.S3).level) == 6
+        monkeypatch.setattr(semigroup, "DEFAULT_ELEMENT_CAP", 5)
+        with pytest.raises(CapExceeded, match="cap 5"):
+            closure(self.S3)
+        with pytest.raises(CapExceeded, match="cap 5"):
+            complexity(self.S3, (0, 0, 0))
+
+    def test_complexity_stops_before_the_cap(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "DEFAULT_ELEMENT_CAP", 2)
+        assert complexity(self.S3, (1, 0, 2)) == 1
+
+    def test_one_class(self):
+        assert pds.CapExceeded is semigroup.CapExceeded
 
 
 class TestComplexity:
