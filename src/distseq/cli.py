@@ -20,9 +20,9 @@ from .extremal import (check_cycle_characterization, fig1_automaton,
 from .kgraph import (build_kgraph, compress_walk_report, eval_walk, scc, to_dot,
                      walk_from_basis_indices)
 from .landau import landau
-from .pds import shortest_pds, worst_case_pds
-from .semigroup import (CapExceeded, closure, directed_diameter,
-                        worst_case_complexity)
+from .pds import DEFAULT_NODE_CAP, shortest_pds, worst_case_pds
+from .semigroup import (DEFAULT_BASES_CAP, CapExceeded, closure,
+                        directed_diameter, worst_case_complexity)
 
 STATE_NUMBERING = "q1..qn -> 0..n-1"
 
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True)
     p.add_argument("--subset", required=True, help="0-based comma list")
     p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--cap-nodes", type=int, default=10_000_000)
+    p.add_argument("--cap-nodes", type=int, default=DEFAULT_NODE_CAP)
 
     p = add("pds-worst", _cmd_pds_worst,
             help="exhaustive worst case at fixed alphabet sizes")
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "worst":
             p.add_argument("--set", choices=("tn", "sn"), default="tn")
             p.add_argument("--canon", action="store_true")
-            p.add_argument("--cap-bases", type=int, default=1 << 20)
+            p.add_argument("--cap-bases", type=int, default=DEFAULT_BASES_CAP)
         else:
             p.add_argument("--maps", required=True,
                            help="semicolon-separated image arrays, e.g. 1,0;0,0")

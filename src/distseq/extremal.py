@@ -80,18 +80,15 @@ def sokolovskii_instance(n: int, k: int, cap: int = 100_000) -> SokolovskiiInsta
     return SokolovskiiInstance(n, k, m, subsets, pi, lv.value, semi, basis, target)
 
 
-def check_cycle_characterization(inst: SokolovskiiInstance,
-                                 max_len: Optional[int] = None) -> bool:
+def check_cycle_characterization(inst: SokolovskiiInstance) -> bool:
     """Exhaustively confirm that D_1 maps back onto itself only along the
-    full cycle word, for every word up to length max_len (default 2m).
+    full cycle word, for every word up to length 2m.
 
     Enumerates words as a tree over defined-subset images.  Once the sink
     enters an image it stays (checked below) and D_1 excludes it, so
     sink-carrying branches cannot return to D_1 and are pruned; the
     pruned enumeration covers exactly the words the naive one would.
     """
-    if max_len is None:
-        max_len = 2 * inst.m
     semi = inst.semiautomaton
     sink = inst.n - 1
     if any(semi.nxt[sink][a] != sink for a in range(inst.m)):
@@ -101,7 +98,7 @@ def check_cycle_characterization(inst: SokolovskiiInstance,
     stack = [(d1, ())]
     while stack:
         S, word = stack.pop()
-        if len(word) >= max_len:
+        if len(word) >= 2 * inst.m:
             continue
         for a in range(inst.m):
             S2 = image(semi, S, (a,))

@@ -22,15 +22,14 @@ Vertex = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Arc:
-    """images[i] is the image of the i-th smallest element of source."""
+    """images[i] is the image of the i-th smallest element of source;
+    perm[i] is the position of images[i] in target."""
 
     source: Vertex
     target: Vertex
     images: tuple[int, ...]
     basis_index: int
-
-    def mapping(self) -> dict:
-        return dict(zip(self.source, self.images))
+    perm: Transformation
 
 
 class KGraph:
@@ -64,7 +63,9 @@ def build_kgraph(basis: Iterable[Transformation], k: int,
         for bi, g in enumerate(basis):
             images = tuple(g[x] for x in D)
             if len(set(images)) == k:
-                arcs.append(Arc(D, tuple(sorted(images)), images, bi))
+                target = tuple(sorted(images))
+                arcs.append(Arc(D, target, images, bi,
+                                tuple(map(target.index, images))))
     return KGraph(n, k, basis, vertices, tuple(arcs))
 
 
@@ -113,13 +114,16 @@ def walk_from_basis_indices(g: KGraph, start: Vertex,
     return Walk(g, tuple(start), tuple(steps))
 
 
+def _walk_perm(g: KGraph, steps) -> Transformation:
+    """Left composition of the arcs' position permutations: entry i is the
+    position in the walk's end vertex of the image of its start's i-th point."""
+    return reduce(compose, (g.arcs[i].perm for i in steps), identity(g.k))
+
+
 def eval_walk(w: Walk) -> PartialBijection:
     """Left composition of the walk's arc bijections; empty walk = identity on start."""
-    cur = list(w.start)
-    for idx in w.steps:
-        m = w.graph.arcs[idx].mapping()
-        cur = [m[x] for x in cur]
-    return PartialBijection(domain=w.start, images=tuple(cur))
+    return PartialBijection(w.start, tuple(w.end[p] for p in
+                                           _walk_perm(w.graph, w.steps)))
 
 
 def scc(g: KGraph) -> list[list[Vertex]]:
@@ -209,16 +213,6 @@ def shortest_path(g: KGraph, u: Vertex, v: Vertex) -> Optional[list[int]]:
                                            for i in g.out[x]))
 
 
-def _position_perm(domain: Vertex, images: tuple[int, ...]) -> Transformation:
-    """A permutation of the k-set as a permutation of positions 0..k-1."""
-    where = {x: i for i, x in enumerate(domain)}
-    return tuple(where[y] for y in images)
-
-
-def _closed_walk_perm(g: KGraph, start: Vertex, steps) -> Transformation:
-    return _position_perm(start, eval_walk(Walk(g, start, tuple(steps))).images)
-
-
 def saturate(w: Walk, D: Vertex) -> Walk:
     """D-saturation: insert order-many pivot round trips at every visited vertex.
 
@@ -237,7 +231,7 @@ def saturate(w: Walk, D: Vertex) -> Walk:
             raise ValueError(f"vertex {v} and pivot {D} are not mutually reachable")
         cycle = to_d + from_d
         if cycle:
-            m = transformation_order(_closed_walk_perm(g, v, cycle))
+            m = transformation_order(_walk_perm(g, cycle))
             steps.extend(cycle * m)
         if i < len(w.steps):
             steps.append(w.steps[i])
@@ -266,7 +260,7 @@ def _compress_segment(g: KGraph, start: Vertex, steps: list[int],
     head = list(sat.steps[:occ[0]])
     tail = list(sat.steps[occ[-1]:])
     pieces = [list(sat.steps[occ[j]:occ[j + 1]]) for j in range(len(occ) - 1)]
-    perms = [_closed_walk_perm(g, pivot, p) for p in pieces]
+    perms = [_walk_perm(g, p) for p in pieces]
     total = reduce(compose, perms, identity(g.k))
     # Shortest factorization of total over the pieces, as piece indices;
     # total is their product, so the search in their group reaches it.

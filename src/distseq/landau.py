@@ -34,7 +34,7 @@ def _primes_upto(k: int) -> list[int]:
     return primes
 
 
-def landau(k: int, cap: int = DEFAULT_K_CAP) -> LandauValue:
+def landau(k: int) -> LandauValue:
     """Exact g(k) by dynamic programming over prime powers.
 
     For each prime p the DP may spend one power p^j of its budget; the
@@ -43,8 +43,8 @@ def landau(k: int, cap: int = DEFAULT_K_CAP) -> LandauValue:
     Values are exact Python integers, so growth past machine-word range
     is harmless.
     """
-    if k < 1 or k > cap:
-        raise ValueError(f"k must be in [1, {cap}]")
+    if k < 1 or k > DEFAULT_K_CAP:
+        raise ValueError(f"k must be in [1, {DEFAULT_K_CAP}]")
     # best[b] = (value, partition) achievable with budget b over primes seen so far
     best: list[tuple[int, tuple[int, ...]]] = [(1, ())] * (k + 1)
     for p in _primes_upto(k):
@@ -62,13 +62,13 @@ def landau(k: int, cap: int = DEFAULT_K_CAP) -> LandauValue:
     return LandauValue(k, value, partition)
 
 
-def max_order_permutation(k: int, cap: int = DEFAULT_K_CAP) -> Transformation:
+def max_order_permutation(k: int) -> Transformation:
     """A permutation of {0..k-1} of order g(k).
 
     Disjoint cycles with the Landau partition's lengths, laid out
     consecutively from point 0 in ascending cycle-length order.
     """
-    lv = landau(k, cap)
+    lv = landau(k)
     perm = list(range(k))
     pos = 0
     for length in lv.partition:

@@ -102,12 +102,12 @@ def shortest_pds(aut: MealyAutomaton, S: Iterable[int],
     return _search(aut.nxt, aut.out, aut.n_inputs, S, max_len, cap_nodes)
 
 
-def has_pds(aut: MealyAutomaton, S: Iterable[int],
-            cap_nodes: int = DEFAULT_NODE_CAP) -> bool:
+def has_pds(aut: MealyAutomaton, S: Iterable[int]) -> bool:
     """True iff some PDS for S exists (the node space is finite, so this decides)."""
-    res = shortest_pds(aut, S, max_len=None, cap_nodes=cap_nodes)
+    res = shortest_pds(aut, S, max_len=None, cap_nodes=DEFAULT_NODE_CAP)
     if res.status == GAVE_UP:
-        raise CapExceeded(f"node cap {cap_nodes} exceeded before the search finished")
+        raise CapExceeded(f"node cap {DEFAULT_NODE_CAP} exceeded before the "
+                          f"search finished")
     return res.status == FOUND
 
 

@@ -19,6 +19,7 @@ Transformation = tuple[int, ...]
 
 
 DEFAULT_ELEMENT_CAP = 20_000_000
+DEFAULT_BASES_CAP = 1 << 20
 
 
 class CapExceeded(RuntimeError):
@@ -234,9 +235,10 @@ def restriction_complexity(basis: Iterable[Transformation],
     product that collapses two domain points can never restrict to the
     injective f, so non-injective tuples are pruned.
     """
-    basis = [tuple(g) for g in basis]
-    if not basis:
-        raise ValueError("basis must be non-empty")
+    basis = checked_basis(basis)
+    n = len(basis[0])
+    if any(not 0 <= x < n for x in f.domain + f.images):
+        raise ValueError("f has a domain point or image outside the ground set")
     start = f.domain
     goal = f.images
     k = len(start)
@@ -279,7 +281,7 @@ class WorstComplexity:
 
 
 def worst_case_complexity(C: Iterable[Transformation],
-                          cap_bases: int = 1 << 20,
+                          cap_bases: int = DEFAULT_BASES_CAP,
                           canonicalize: bool = False) -> WorstComplexity:
     """Worst complexity over all non-empty bases drawn from C.
 
@@ -317,8 +319,7 @@ def directed_diameter(generators: Iterable[Transformation]) -> int:
     return max(closure(generators).level.values())
 
 
-def group_worst_diameter(G: Iterable[Transformation],
-                         cap_bases: int = 1 << 20) -> int:
+def group_worst_diameter(G: Iterable[Transformation]) -> int:
     """Directed diameter of the group G: max over all generating subsets.
 
     Subsets whose closure is a proper subset of G are skipped by
@@ -331,8 +332,9 @@ def group_worst_diameter(G: Iterable[Transformation],
     # basis drawn from G generates a subgroup of G, equal to G iff as large.
     if len(closure(G).level) != len(G):
         raise ValueError("G is not closed under composition")
-    if (1 << len(G)) - 1 > cap_bases:
-        raise CapExceeded(f"would enumerate {(1 << len(G)) - 1} bases (cap {cap_bases})")
+    if (1 << len(G)) - 1 > DEFAULT_BASES_CAP:
+        raise CapExceeded(f"would enumerate {(1 << len(G)) - 1} bases "
+                          f"(cap {DEFAULT_BASES_CAP})")
     best = None
     for basis in _subsets_in_order(G):
         level = closure(basis).level

@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .automata import PartialSemiautomaton
+from .automata import PartialSemiautomaton, image
 
 Word = tuple[int, ...]
 
@@ -59,13 +59,9 @@ def is_irreducible(aut: PartialSemiautomaton, w) -> bool:
     The unbounded "for all continuations" quantifier is decided exactly by
     reachability over defined-image subsets.
     """
-    S = frozenset(aut.states())
-    for a in w:
-        if not 0 <= a < aut.n_inputs:
-            raise ValueError(f"input symbol {a} out of range")
-        S = _step(aut, S, a)
-        if S is None:
-            return False
+    S = image(aut, aut.states(), tuple(w))  # image reads w twice
+    if S is None:
+        return False
     return all(len(T) == len(S) for T in reachable_subsets(aut, S))
 
 

@@ -229,6 +229,16 @@ class TestExtremalAndSyncCommands:
         assert code == 0
         assert value_of(out, "result.irreducible") == "True"
 
+    def test_sync_check_symbol_out_of_range(self, tmp_path, capsys):
+        # symbol 5 follows a step that is undefined on state 0
+        path = str(tmp_path / "partial.psemi")
+        fileio.dump(fileio.loads("psemi 2 2\n0 1 0\n1 0 1\n1 1 1\n"), path)
+        capsys.readouterr()
+        code = dispatch(["sync", "check", "--file", path, "--word", "0,5"])
+        out = lines_of(capsys)
+        assert code == 1
+        assert value_of(out, "status") == "error"
+
     def test_sync_needs_psemi(self, fig1_file, capsys):
         assert dispatch(["sync", "careful", "--file", fig1_file]) == 1
 

@@ -3,6 +3,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from distseq.extremal import sokolovskii_instance
 from distseq.kgraph import (Walk, build_kgraph, compress_walk,
@@ -214,6 +215,72 @@ class TestCompress:
             for rep in reports:
                 assert rep.length <= 2 * (rep.vertex_count - 1) + \
                     (2 * rep.vertex_count - 1) * rep.factor_count
+
+
+def dict_eval_walk(w):
+    """Reference evaluation: follow each point through a dict per arc."""
+    cur = list(w.start)
+    for idx in w.steps:
+        arc = w.graph.arcs[idx]
+        m = dict(zip(arc.source, arc.images))
+        cur = [m[x] for x in cur]
+    return PartialBijection(w.start, tuple(cur))
+
+
+@st.composite
+def walks(draw):
+    """A walk of up to 40 arcs in the k-graph of a generated basis on at
+    most 6 points, for k from 1 to n."""
+    n = draw(st.integers(1, 6))
+    maps = st.tuples(*[st.integers(0, n - 1)] * n)
+    basis = draw(st.lists(maps, min_size=1, max_size=3))
+    g = build_kgraph(basis, draw(st.integers(1, n)))
+    cur = start = draw(st.sampled_from(g.vertices))
+    steps = []
+    for choice in draw(st.lists(st.integers(0, 2), max_size=40)):
+        outs = g.out[cur]
+        if not outs:
+            break
+        steps.append(outs[choice % len(outs)])
+        cur = g.arcs[steps[-1]].target
+    return Walk(g, start, tuple(steps))
+
+
+# Two transpositions that do not commute: composing the arcs in the wrong
+# order changes the evaluation.
+NONCOMMUTING = build_kgraph([(1, 0, 2), (0, 2, 1)], 3)
+
+
+class TestWalkProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(walks())
+    @example(walk_from_basis_indices(NONCOMMUTING, (0, 1, 2), [0, 1]))
+    def test_eval_matches_dict_reference(self, w):
+        assert eval_walk(w) == dict_eval_walk(w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(walks(), st.data())
+    def test_saturate_preserves_eval(self, w, data):
+        comp = next(c for c in scc(w.graph) if w.start in c)
+        verts = w.vertex_sequence()
+        # keep the prefix that stays inside the start's component
+        kept = next((i for i, v in enumerate(verts) if v not in comp),
+                    len(verts)) - 1
+        w = Walk(w.graph, w.start, w.steps[:kept])
+        pivot = data.draw(st.sampled_from(comp))
+        sw = saturate(w, pivot)
+        assert eval_walk(sw) == dict_eval_walk(w)
+        assert pivot in sw.vertex_sequence()
+
+    @settings(max_examples=100, deadline=None)
+    @given(walks())
+    def test_compress_preserves_eval_and_bound(self, w):
+        cw, reports = compress_walk_report(w)
+        assert eval_walk(cw) == dict_eval_walk(w)
+        assert len(cw) <= len(w)
+        for rep in reports:
+            assert rep.length <= 2 * (rep.vertex_count - 1) + \
+                (2 * rep.vertex_count - 1) * rep.factor_count
 
 
 def test_restriction_complexity_respects_corollary_bound():

@@ -141,6 +141,23 @@ class TestRestrictionComplexity:
         with pytest.raises(ValueError):
             PartialBijection((0, 1), (2, 2))
 
+    def test_basis_outside_the_ground_set_rejected(self):
+        f = PartialBijection((0, 1), (1, 7))
+        with pytest.raises(ValueError, match="basis maps a point outside"):
+            restriction_complexity([(1, 7, 0)], f)
+
+    def test_basis_on_mixed_ground_sets_rejected(self):
+        f = PartialBijection((0, 1), (1, 2))
+        with pytest.raises(ValueError, match="different ground sets"):
+            restriction_complexity([(1, 2, 0), (0, 1)], f)
+
+    def test_f_outside_the_ground_set_rejected(self):
+        for f in (PartialBijection((0, 3), (1, 2)),
+                  PartialBijection((0, 1), (1, 5)),
+                  PartialBijection((0, 1), (-1, 2))):
+            with pytest.raises(ValueError, match="outside the ground set"):
+                restriction_complexity([(1, 2, 0)], f)
+
 
 def naive_worst(C):
     """Definition-level oracle: every basis, all products enumerated by length."""

@@ -66,6 +66,16 @@ class TestIsIrreducible:
         with pytest.raises(ValueError):
             is_irreducible(aut, (3,))
 
+    def test_word_given_as_iterator(self):
+        aut = PartialSemiautomaton(2, 1, ((0,), (0,)))
+        assert is_irreducible(aut, iter((0,)))
+        assert not is_irreducible(aut, iter(()))
+
+    def test_out_of_range_symbol_after_undefined_step(self):
+        aut = PartialSemiautomaton(2, 2, ((None, 0), (1, 1)))
+        with pytest.raises(ValueError, match="input symbol 5 out of range"):
+            is_irreducible(aut, (0, 5))
+
     def test_agrees_with_definitional_oracle(self):
         rng = random.Random(32)
         for _ in range(100):
