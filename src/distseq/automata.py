@@ -122,10 +122,11 @@ def _check_word(aut: Automaton, w: Sequence[int]) -> None:
             raise ValueError(f"input symbol {a} out of range")
 
 
-def run(aut: MealyAutomaton, q: int, w: Sequence[int]) -> tuple[int, Word]:
+def run(aut: MealyAutomaton, q: int, w: Iterable[int]) -> tuple[int, Word]:
     """Apply the word w in state q; return (final state, output word)."""
     if not 0 <= q < aut.n_states:
         raise ValueError(f"state {q} out of range")
+    w = tuple(w)
     _check_word(aut, w)
     outputs = []
     for a in w:
@@ -134,7 +135,19 @@ def run(aut: MealyAutomaton, q: int, w: Sequence[int]) -> tuple[int, Word]:
     return q, tuple(outputs)
 
 
-def image(aut: Automaton, S: Iterable[int], w: Sequence[int]) -> Optional[StateSet]:
+def step(aut: Automaton, S: StateSet, a: int) -> Optional[StateSet]:
+    """Image of S under the letter a, unchecked; None if a is undefined
+    on some state of S."""
+    nxt = set()
+    for q in S:
+        q2 = aut.nxt[q][a]
+        if q2 is None:
+            return None
+        nxt.add(q2)
+    return frozenset(nxt)
+
+
+def image(aut: Automaton, S: Iterable[int], w: Iterable[int]) -> Optional[StateSet]:
     """Image of the state set S under the word w.
 
     For partial semiautomata returns None exactly when some state of S
@@ -144,15 +157,12 @@ def image(aut: Automaton, S: Iterable[int], w: Sequence[int]) -> Optional[StateS
     for q in cur:
         if not 0 <= q < aut.n_states:
             raise ValueError(f"state {q} out of range")
+    w = tuple(w)
     _check_word(aut, w)
     for a in w:
-        nxt = set()
-        for q in cur:
-            q2 = aut.nxt[q][a]
-            if q2 is None:
-                return None
-            nxt.add(q2)
-        cur = frozenset(nxt)
+        cur = step(aut, cur, a)
+        if cur is None:
+            return None
     return cur
 
 
@@ -195,11 +205,12 @@ def minimize(aut: MealyAutomaton) -> MealyAutomaton:
     return MealyAutomaton(len(blocks), aut.n_inputs, aut.n_outputs, nxt, out)
 
 
-def uncertainty(aut: MealyAutomaton, S: Iterable[int], w: Sequence[int]) -> Partition:
+def uncertainty(aut: MealyAutomaton, S: Iterable[int], w: Iterable[int]) -> Partition:
     """Initial state uncertainty: group states of S by their output word on w."""
     S = sorted(set(S))
     if not S:
         raise ValueError("S must be non-empty")
+    w = tuple(w)
     groups: dict[Word, list[int]] = {}
     for q in S:
         _, o = run(aut, q, w)

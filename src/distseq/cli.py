@@ -114,11 +114,9 @@ def _cmd_pds_worst(args):
 
 def _cmd_semigroup_closure(args):
     res = closure(_maps(args))
-    worst = max(res.level.values())
-    witness = min(f for f, d in res.level.items() if d == worst)
     inputs = {"ground": args.ground, "maps": args.maps}
-    return "ok", inputs, {"size": len(res.level), "max_level": worst,
-                          "witness": _fmt_word(witness)}
+    return "ok", inputs, {"size": len(res.level), "max_level": res.max_level,
+                          "witness": _fmt_word(res.witness)}
 
 
 def _cmd_semigroup_worst(args):
@@ -128,9 +126,8 @@ def _cmd_semigroup_worst(args):
         C = [tuple(p) for p in iproduct(range(n), repeat=n)]
     else:
         C = [tuple(p) for p in permutations(range(n))]
-    res = worst_case_complexity(C, cap_bases=args.cap_bases,
-                                canonicalize=args.canon)
-    inputs = {"ground": n, "set": args.set, "canon": args.canon}
+    res = worst_case_complexity(C, cap_bases=args.cap_bases)
+    inputs = {"ground": n, "set": args.set}
     return "ok", inputs, {"value": res.value,
                           "basis": ";".join(_fmt_word(f) for f in res.basis),
                           "witness": _fmt_word(res.witness)}
@@ -321,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ground", type=int, required=True)
         if name == "worst":
             p.add_argument("--set", choices=("tn", "sn"), default="tn")
-            p.add_argument("--canon", action="store_true")
             p.add_argument("--cap-bases", type=int, default=DEFAULT_BASES_CAP)
         else:
             p.add_argument("--maps", required=True,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .semigroup import Transformation
+from .semigroup import CapExceeded, Transformation
 
 DEFAULT_K_CAP = 200
 
@@ -43,8 +43,10 @@ def landau(k: int) -> LandauValue:
     Values are exact Python integers, so growth past machine-word range
     is harmless.
     """
-    if k < 1 or k > DEFAULT_K_CAP:
-        raise ValueError(f"k must be in [1, {DEFAULT_K_CAP}]")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if k > DEFAULT_K_CAP:
+        raise CapExceeded(f"would run the DP to k = {k} (cap {DEFAULT_K_CAP})")
     # best[b] = (value, partition) achievable with budget b over primes seen so far
     best: list[tuple[int, tuple[int, ...]]] = [(1, ())] * (k + 1)
     for p in _primes_upto(k):

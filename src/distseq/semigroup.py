@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
-from collections.abc import ItemsView, Mapping
-from itertools import permutations
+from collections.abc import Mapping
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 Transformation = tuple[int, ...]
 
@@ -114,20 +113,8 @@ class _Levels(Mapping):
     def __len__(self):
         return len(self._levels)
 
-    def items(self):
-        return _LevelItems(self)
-
-    def values(self):
-        return self._levels.values()
-
     def __repr__(self):
         return f"{type(self).__name__}({dict(self.items())!r})"
-
-
-class _LevelItems(ItemsView):
-    def __iter__(self):
-        for f, d in self._mapping._levels.items():
-            yield tuple(f), d
 
 
 @dataclass(frozen=True)
@@ -135,6 +122,8 @@ class ClosureResult:
     """Closure of a basis with, for each element, its shortest product length."""
 
     level: Mapping  # Transformation -> int, >= 1; 1 exactly on the basis
+    max_level: int  # the largest level: the diameter of the closure
+    witness: Transformation  # lex-least element at max_level
 
     @property
     def elements(self) -> frozenset:
@@ -175,14 +164,15 @@ def _kernel(basis: Iterable[Transformation]):
     return n, tuple, _compose_tuples, basis, basis
 
 
-def _bfs(elements, actions, compose, target=None) -> dict:
-    """Level of each product of the basis, in breadth-first order.
+def _bfs(elements, actions, compose, target=None) -> tuple[dict, list]:
+    """Level of each product of the basis, in breadth-first order, and the
+    last non-empty frontier.
 
     BFS under right-multiplication by basis members; every length-l
     product has a length-(l-1) prefix in the closure, so the first visit
-    depth is the complexity.  Stops as soon as target is reached, and
-    raises CapExceeded once a completed level leaves more than
-    DEFAULT_ELEMENT_CAP elements stored.
+    depth is the complexity.  Stops as soon as target is reached (the
+    frontier returned then is partial), and raises CapExceeded once a
+    completed level leaves more than DEFAULT_ELEMENT_CAP elements stored.
     """
     level = {}
     frontier = []
@@ -191,9 +181,9 @@ def _bfs(elements, actions, compose, target=None) -> dict:
             level[f] = 1
             frontier.append(f)
     if target in level:
-        return level
+        return level, frontier
     d = 1
-    while frontier:
+    while True:
         if len(level) > DEFAULT_ELEMENT_CAP:
             raise CapExceeded(f"closure search stored {len(level)} elements by "
                               f"level {d} (cap {DEFAULT_ELEMENT_CAP})")
@@ -205,16 +195,19 @@ def _bfs(elements, actions, compose, target=None) -> dict:
                 if h not in level:
                     level[h] = d
                     if h == target:
-                        return level
+                        return level, nxt
                     nxt.append(h)
+        if not nxt:
+            return level, frontier
         frontier = nxt
-    return level
 
 
 def closure(basis: Iterable[Transformation]) -> ClosureResult:
     """All products of basis elements, with shortest factorization lengths."""
     _, pack, compose, elements, actions = _kernel(basis)
-    return ClosureResult(_Levels(_bfs(elements, actions, compose), pack))
+    level, last = _bfs(elements, actions, compose)
+    # Equal-length bytes order like the tuples they encode.
+    return ClosureResult(_Levels(level, pack), level[last[0]], tuple(min(last)))
 
 
 def complexity(basis: Iterable[Transformation], f: Transformation) -> Optional[int]:
@@ -224,7 +217,7 @@ def complexity(basis: Iterable[Transformation], f: Transformation) -> Optional[i
     if len(f) != n or any(not 0 <= x < n for x in f):
         return None
     target = pack(f)
-    return _bfs(elements, actions, compose, target).get(target)
+    return _bfs(elements, actions, compose, target)[0].get(target)
 
 
 def restriction_complexity(basis: Iterable[Transformation],
@@ -257,20 +250,15 @@ def restriction_complexity(basis: Iterable[Transformation],
     return None
 
 
-def _subsets_in_order(items: Sequence[Transformation]):
-    """Non-empty subsets of items in binary-counter order over the sorted list."""
-    items = sorted(items)
-    for mask in range(1, 1 << len(items)):
-        yield tuple(items[i] for i in range(len(items)) if mask >> i & 1)
-
-
-def _conjugate_basis(basis, sigma):
-    """Relabel the ground set by the permutation sigma."""
-    inv = [0] * len(sigma)
-    for i, v in enumerate(sigma):
-        inv[v] = i
-    return tuple(sorted(tuple(sigma[f[inv[x]]] for x in range(len(f)))
-                        for f in basis))
+def _bases(C: Iterable[Transformation], cap: int):
+    """Non-empty subsets of the distinct members of C, in binary-counter
+    (mask) order over their sorted list; CapExceeded past cap subsets."""
+    items = sorted({tuple(f) for f in C})
+    count = (1 << len(items)) - 1
+    if count > cap:
+        raise CapExceeded(f"would enumerate {count} bases (cap {cap})")
+    return (tuple(items[i] for i in range(len(items)) if mask >> i & 1)
+            for mask in range(1, count + 1))
 
 
 @dataclass(frozen=True)
@@ -281,33 +269,16 @@ class WorstComplexity:
 
 
 def worst_case_complexity(C: Iterable[Transformation],
-                          cap_bases: int = DEFAULT_BASES_CAP,
-                          canonicalize: bool = False) -> WorstComplexity:
-    """Worst complexity over all non-empty bases drawn from C.
-
-    With canonicalize=True, bases that are not lexicographically minimal
-    among their conjugates under relabeling of the ground set are
-    skipped; complexity is invariant under relabeling, so the maximum is
-    unchanged.
-    """
-    C = sorted({tuple(f) for f in C})
-    if not C:
-        raise ValueError("C must be non-empty")
-    if (1 << len(C)) - 1 > cap_bases:
-        raise CapExceeded(f"would enumerate {(1 << len(C)) - 1} bases (cap {cap_bases})")
-    n = len(C[0])
-    sigmas = list(permutations(range(n))) if canonicalize else None
+                          cap_bases: int = DEFAULT_BASES_CAP) -> WorstComplexity:
+    """Worst complexity over all non-empty bases drawn from C; the basis
+    reported is the first maximiser in mask order."""
     best: Optional[WorstComplexity] = None
-    for basis in _subsets_in_order(C):
-        if canonicalize:
-            key = tuple(sorted(basis))
-            if any(_conjugate_basis(basis, s) < key for s in sigmas):
-                continue
-        level = closure(basis).level
-        value = max(level.values())
-        witness = min(f for f, d in level.items() if d == value)
-        if best is None or value > best.value:
-            best = WorstComplexity(value, basis, witness)
+    for basis in _bases(C, cap_bases):
+        res = closure(basis)
+        if best is None or res.max_level > best.value:
+            best = WorstComplexity(res.max_level, basis, res.witness)
+    if best is None:
+        raise ValueError("C must be non-empty")
     return best
 
 
@@ -316,7 +287,7 @@ def directed_diameter(generators: Iterable[Transformation]) -> int:
     generators = [tuple(f) for f in generators]
     if any(not is_bijection(f) for f in generators):
         raise ValueError("generators must be bijections")
-    return max(closure(generators).level.values())
+    return closure(generators).max_level
 
 
 def group_worst_diameter(G: Iterable[Transformation]) -> int:
@@ -325,24 +296,13 @@ def group_worst_diameter(G: Iterable[Transformation]) -> int:
     Subsets whose closure is a proper subset of G are skipped by
     definition.
     """
-    G = sorted({tuple(f) for f in G})
+    G = {tuple(f) for f in G}
     if any(not is_bijection(f) for f in G):
         raise ValueError("G must consist of bijections")
     # G is inside closure(G), so equal sizes mean G is closed; then every
-    # basis drawn from G generates a subgroup of G, equal to G iff as large.
+    # basis drawn from G generates a subgroup of G, equal to G iff as large,
+    # and G itself is one such basis.
     if len(closure(G).level) != len(G):
         raise ValueError("G is not closed under composition")
-    if (1 << len(G)) - 1 > DEFAULT_BASES_CAP:
-        raise CapExceeded(f"would enumerate {(1 << len(G)) - 1} bases "
-                          f"(cap {DEFAULT_BASES_CAP})")
-    best = None
-    for basis in _subsets_in_order(G):
-        level = closure(basis).level
-        if len(level) != len(G):
-            continue
-        value = max(level.values())
-        if best is None or value > best:
-            best = value
-    if best is None:
-        raise ValueError("no subset of G generates G")
-    return best
+    return max(res.max_level for res in map(closure, _bases(G, DEFAULT_BASES_CAP))
+               if len(res.level) == len(G))

@@ -9,19 +9,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .automata import PartialSemiautomaton, image
+from .automata import PartialSemiautomaton, image, step
 
 Word = tuple[int, ...]
-
-
-def _step(aut: PartialSemiautomaton, S: frozenset, a: int) -> Optional[frozenset]:
-    nxt = set()
-    for q in S:
-        q2 = aut.nxt[q][a]
-        if q2 is None:
-            return None
-        nxt.add(q2)
-    return frozenset(nxt)
 
 
 def _bfs_subsets(aut: PartialSemiautomaton, start: frozenset):
@@ -32,7 +22,7 @@ def _bfs_subsets(aut: PartialSemiautomaton, start: frozenset):
         S, word = queue.popleft()
         yield S, word
         for a in range(aut.n_inputs):
-            S2 = _step(aut, S, a)
+            S2 = step(aut, S, a)
             if S2 is None or S2 in visited:
                 continue
             visited.add(S2)
@@ -59,7 +49,7 @@ def is_irreducible(aut: PartialSemiautomaton, w) -> bool:
     The unbounded "for all continuations" quantifier is decided exactly by
     reachability over defined-image subsets.
     """
-    S = image(aut, aut.states(), tuple(w))  # image reads w twice
+    S = image(aut, aut.states(), w)
     if S is None:
         return False
     return all(len(T) == len(S) for T in reachable_subsets(aut, S))

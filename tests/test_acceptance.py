@@ -28,7 +28,9 @@ def test_acceptance_2_exhaustive_worst_case(capsys):
 
 def test_acceptance_3_lower_bound(capsys):
     _accept(capsys, 3,
-            verify.check_lower_bound(((4, 2), (5, 2), (5, 3), (6, 2))), 120)
+            verify.check_lower_bound(((4, 2), (5, 2), (5, 3), (6, 2),
+                                      (9, 4), (10, 3), (11, 4), (10, 5))),
+            120)
 
 
 def test_acceptance_4_landau_oracles(capsys):

@@ -41,6 +41,9 @@ class TestRun:
         with pytest.raises(ValueError):
             run(fig1_n4, 0, (5,))
 
+    def test_one_shot_iterator_word(self, fig1_n4):
+        assert run(fig1_n4, 1, iter((0, 1))) == (0, (0, 0))
+
 
 class TestImage:
     def test_empty_word_is_identity(self, fig1_n4):
@@ -53,6 +56,10 @@ class TestImage:
         aut = PartialSemiautomaton(2, 1, ((None,), (0,)))
         assert image(aut, {0}, (0,)) is None
         assert image(aut, {1}, (0,)) == frozenset({0})
+
+    def test_one_shot_iterator_word(self):
+        aut = PartialSemiautomaton(2, 1, ((0,), (0,)))
+        assert image(aut, range(2), iter([0])) == frozenset({0})
 
     def test_composes(self, fig1_n4):
         rng = random.Random(0)
@@ -125,6 +132,9 @@ class TestUncertainty:
 
     def test_split_on_one(self, fig1_n4):
         assert uncertainty(fig1_n4, {0, 1, 2}, (1,)).blocks == ((0,), (1, 2))
+
+    def test_one_shot_iterator_word(self, fig1_n4):
+        assert uncertainty(fig1_n4, {0, 1, 2}, iter((1,))).blocks == ((0,), (1, 2))
 
     def test_merged_states_stay_merged(self, fig1_n4):
         assert uncertainty(fig1_n4, {0, 1, 2}, (1, 0)).blocks == ((0,), (1, 2))

@@ -84,6 +84,14 @@ class TestLandauCommand:
     def test_out_of_range(self, capsys):
         assert dispatch(["landau", "--k", "0"]) == 1
 
+    def test_over_cap_gives_up(self, capsys):
+        code = dispatch(["landau", "--k", "201"])
+        out = lines_of(capsys)
+        assert code == 2
+        assert value_of(out, "status") == "gave-up"
+        assert value_of(out, "result.message") == \
+            "would run the DP to k = 201 (cap 200)"
+
 
 class TestSemigroupCommands:
     def test_closure(self, capsys):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distseq import fileio
 from distseq.automata import MealyAutomaton, PartialSemiautomaton
@@ -80,3 +81,23 @@ def test_out_of_range_psemi_target_reports_line():
 def test_missing_cell_names_header_line():
     with pytest.raises(fileio.FormatError, match="line 2: missing"):
         fileio.loads("# comment\nmealy 2 1 1\n0 0 1 0\n")
+
+
+def tables(n, a, cell):
+    return st.tuples(*[st.tuples(*[cell] * a)] * n)
+
+
+@st.composite
+def automata(draw):
+    n, a, b = (draw(st.integers(1, 4)) for _ in range(3))
+    if draw(st.booleans()):
+        return MealyAutomaton(n, a, b, draw(tables(n, a, st.integers(0, n - 1))),
+                              draw(tables(n, a, st.integers(0, b - 1))))
+    return PartialSemiautomaton(
+        n, a, draw(tables(n, a, st.none() | st.integers(0, n - 1))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(automata())
+def test_dumps_loads_round_trip(aut):
+    assert fileio.loads(fileio.dumps(aut)) == aut

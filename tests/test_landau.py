@@ -4,7 +4,7 @@ from math import lcm
 import pytest
 
 from distseq.landau import LandauValue, landau, max_order_permutation
-from distseq.semigroup import is_bijection, transformation_order
+from distseq.semigroup import CapExceeded, is_bijection, transformation_order
 
 
 def partitions(k, largest=None):
@@ -55,7 +55,7 @@ class TestLandau:
     def test_range_errors(self):
         with pytest.raises(ValueError):
             landau(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(CapExceeded):
             landau(201)
 
     def test_asymptotic_ratio_logged_not_asserted(self):

@@ -2,6 +2,7 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distseq import pds
 from distseq.automata import MealyAutomaton, run, uncertainty
@@ -69,6 +70,36 @@ class TestShortestPds:
             res = shortest_pds(aut, S)
             if res.status == FOUND:
                 assert res.length <= (k - 1) * n ** k
+
+
+@st.composite
+def mealy_and_subset(draw):
+    n, a, b = draw(st.integers(2, 5)), draw(st.integers(1, 3)), draw(st.integers(2, 3))
+
+    def table(hi):
+        return draw(st.tuples(*[st.tuples(*[st.integers(0, hi)] * a)] * n))
+    aut = MealyAutomaton(n, a, b, table(n - 1), table(b - 1))
+    return aut, draw(st.sets(st.integers(0, n - 1), min_size=2))
+
+
+class TestShortestPdsProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(mealy_and_subset())
+    def test_first_discrete_word_in_shortlex_order(self, case):
+        # Words of length <= 6 in shortlex order: the search's word must be
+        # the first that splits S into singletons, and no word may if the
+        # search found none.
+        aut, S = case
+        res = shortest_pds(aut, S, max_len=6)
+        words = (w for length in range(7)
+                 for w in product(range(aut.n_inputs), repeat=length))
+        for w in words:
+            if w == res.word:
+                assert is_pds(aut, S, w)
+                break
+            assert not is_pds(aut, S, w)
+        else:
+            assert res.status != FOUND
 
 
 class TestHasPds:

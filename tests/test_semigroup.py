@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from distseq import pds, semigroup
-from distseq.semigroup import (CapExceeded, PartialBijection, closure,
-                               complexity, compose, directed_diameter,
+from distseq.semigroup import (CapExceeded, PartialBijection, WorstComplexity,
+                               closure, complexity, compose, directed_diameter,
                                group_worst_diameter, identity, is_bijection,
                                restriction_complexity, transformation_order,
                                worst_case_complexity)
@@ -199,18 +199,21 @@ class TestWorstCase:
         assert worst_case_complexity([SWAP, ID2]).value <= \
             worst_case_complexity(t2).value
 
-    def test_canonicalization_preserves_value(self):
+    def test_value_basis_and_witness(self):
         t2 = list(product(range(2), repeat=2))
-        assert worst_case_complexity(t2, canonicalize=True).value == \
-            worst_case_complexity(t2).value
         s3 = [tuple(p) for p in permutations(range(3))]
-        assert worst_case_complexity(s3, canonicalize=True).value == \
-            worst_case_complexity(s3).value
+        assert worst_case_complexity(t2) == WorstComplexity(2, ((1, 0),), (0, 1))
+        assert worst_case_complexity(reversed(s3)) == \
+            WorstComplexity(3, ((0, 2, 1), (1, 0, 2)), (2, 1, 0))
 
     def test_cap(self):
         t3 = list(product(range(3), repeat=3))
         with pytest.raises(CapExceeded):
             worst_case_complexity(t3, cap_bases=100)
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError):
+            worst_case_complexity([])
 
 
 class TestDiameter:
@@ -223,6 +226,14 @@ class TestDiameter:
 
     def test_three_cycle(self):
         assert directed_diameter([(1, 2, 0)]) == 3
+
+    def test_bases_cap(self, monkeypatch):
+        s3 = [tuple(p) for p in permutations(range(3))]
+        monkeypatch.setattr(semigroup, "DEFAULT_BASES_CAP", 63)
+        assert group_worst_diameter(s3) == 3
+        monkeypatch.setattr(semigroup, "DEFAULT_BASES_CAP", 62)
+        with pytest.raises(CapExceeded, match="63 bases"):
+            group_worst_diameter(s3)
 
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
@@ -271,6 +282,12 @@ def tuple_closure(basis):
     return level
 
 
+def diameter_and_witness(level):
+    """The largest level of a reference closure and its lex-least element."""
+    top = max(level.values())
+    return top, min(f for f, d in level.items() if d == top)
+
+
 def bases(n):
     maps = st.tuples(*[st.integers(0, n - 1)] * n)
     return st.lists(maps, min_size=1, max_size=3)
@@ -283,10 +300,12 @@ class TestKernelAgainstTupleBfs:
     def test_small_ground_sets(self, case, data):
         basis, outside = case
         ref = tuple_closure(basis)
-        level = closure(basis).level
+        res = closure(basis)
+        level = res.level
         assert level == ref
         assert list(level.items()) == list(ref.items())
         assert len(level) == len(ref)
+        assert (res.max_level, res.witness) == diameter_and_witness(ref)
         inside = data.draw(st.sampled_from(sorted(ref)))
         for f in (inside, outside):
             assert complexity(basis, f) == ref.get(f)
@@ -296,9 +315,12 @@ class TestKernelAgainstTupleBfs:
         n = 300
         cycle = tuple((i + 1) % n for i in range(n))
         ref = tuple_closure([cycle])
-        level = closure([cycle]).level
+        res = closure([cycle])
+        level = res.level
         assert level == ref
         assert level[identity(n)] == n
+        assert (res.max_level, res.witness) == diameter_and_witness(ref) == \
+            (n, identity(n))
         shift = tuple((i + 7) % n for i in range(n))
         assert complexity([cycle], shift) == 7
         assert complexity([cycle], identity(n)) == n
