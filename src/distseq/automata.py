@@ -7,6 +7,7 @@ every operation here is a pure function.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -145,6 +146,23 @@ def step(aut: Automaton, S: StateSet, a: int) -> Optional[StateSet]:
             return None
         nxt.add(q2)
     return frozenset(nxt)
+
+
+def bfs_words(start, moves):
+    """Yield (node, word) for start, then for every node reachable from it,
+    breadth-first, each once and as soon as it is found; moves(x) yields
+    (label, successor) pairs, so ascending labels give lex-least shortest words."""
+    yield start, ()
+    seen = {start}
+    queue = deque([(start, ())])
+    while queue:
+        x, word = queue.popleft()
+        for label, y in moves(x):
+            if y not in seen:
+                seen.add(y)
+                found = y, word + (label,)
+                yield found
+                queue.append(found)
 
 
 def image(aut: Automaton, S: Iterable[int], w: Iterable[int]) -> Optional[StateSet]:

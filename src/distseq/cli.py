@@ -8,6 +8,7 @@ and 1 on errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -17,10 +18,11 @@ from . import bounds, fileio, sync, verify
 from .automata import MealyAutomaton, PartialSemiautomaton, Partition, uncertainty
 from .extremal import (check_cycle_characterization, fig1_automaton,
                        sokolovskii_instance, verify_lower_bound)
-from .kgraph import (build_kgraph, compress_walk_report, eval_walk, scc, to_dot,
-                     walk_from_basis_indices)
+from .kgraph import (DEFAULT_VERTEX_CAP, build_kgraph, compress_walk_report,
+                     eval_walk, scc, to_dot, walk_from_basis_indices)
 from .landau import landau
-from .pds import DEFAULT_NODE_CAP, shortest_pds, worst_case_pds
+from .pds import (DEFAULT_AUTOMATA_CAP, DEFAULT_NODE_CAP, shortest_pds,
+                  worst_case_pds)
 from .semigroup import (DEFAULT_BASES_CAP, CapExceeded, closure,
                         directed_diameter, worst_case_complexity)
 
@@ -120,12 +122,13 @@ def _cmd_semigroup_closure(args):
 
 
 def _cmd_semigroup_worst(args):
-    from itertools import permutations, product as iproduct
     n = args.ground
+    if n < 1:
+        raise ValueError("--ground must be at least 1")
     if args.set == "tn":
-        C = [tuple(p) for p in iproduct(range(n), repeat=n)]
+        C = list(itertools.product(range(n), repeat=n))
     else:
-        C = [tuple(p) for p in permutations(range(n))]
+        C = list(itertools.permutations(range(n)))
     res = worst_case_complexity(C, cap_bases=args.cap_bases)
     inputs = {"ground": n, "set": args.set}
     return "ok", inputs, {"value": res.value,
@@ -306,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs", type=int, required=True)
     p.add_argument("--outputs", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cap", type=int, default=10_000_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_AUTOMATA_CAP)
 
     sg = sub.add_parser("semigroup", help="transformation semigroup operations")
     sgs = sg.add_subparsers(dest="subcommand", required=True)
@@ -334,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ground", type=int, required=True)
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--maps", required=True)
-        p.add_argument("--cap-subsets", type=int, default=1_000_000)
+        p.add_argument("--cap-subsets", type=int, default=DEFAULT_VERTEX_CAP)
         if name == "build":
             p.add_argument("--dot", default=None)
         if name == "compress":

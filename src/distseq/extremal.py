@@ -16,6 +16,8 @@ from .automata import MealyAutomaton, PartialSemiautomaton, image
 from .landau import landau, max_order_permutation
 from .semigroup import CapExceeded, Transformation, complexity, compose
 
+DEFAULT_LETTER_CAP = 100_000
+
 
 def fig1_automaton(n: int) -> MealyAutomaton:
     """n-state, 2-input, 2-output automaton: a 0/0 cycle through all states,
@@ -51,12 +53,13 @@ class SokolovskiiInstance:
     target: Transformation           # induced by the full cycle word repeated g(k)-1 times
 
 
-def sokolovskii_instance(n: int, k: int, cap: int = 100_000) -> SokolovskiiInstance:
+def sokolovskii_instance(n: int, k: int) -> SokolovskiiInstance:
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     m = comb(n - 1, k)
-    if m > cap:
-        raise CapExceeded(f"instance would need {m} input letters (cap {cap})")
+    if m > DEFAULT_LETTER_CAP:
+        raise CapExceeded(f"instance would need {m} input letters "
+                          f"(cap {DEFAULT_LETTER_CAP})")
     subsets = tuple(combinations(range(n - 1), k))  # lexicographic order
     lv = landau(k)
     pi = max_order_permutation(k)

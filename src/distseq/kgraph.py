@@ -8,16 +8,18 @@ Walks are stored as sequences of arc indices into the graph's arc list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import deque
 from functools import reduce
 from itertools import combinations
 from math import comb
 from typing import Iterable, Optional
 
+from .automata import bfs_words
 from .semigroup import (CapExceeded, PartialBijection, Transformation,
                         checked_basis, compose, identity, transformation_order)
 
 Vertex = tuple[int, ...]
+
+DEFAULT_VERTEX_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ class KGraph:
 
 
 def build_kgraph(basis: Iterable[Transformation], k: int,
-                 cap: int = 1_000_000) -> KGraph:
+                 cap: int = DEFAULT_VERTEX_CAP) -> KGraph:
     basis = tuple(checked_basis(basis))
     n = len(basis[0])
     if not 1 <= k <= n:
@@ -176,41 +178,14 @@ def scc(g: KGraph) -> list[list[Vertex]]:
     return components
 
 
-def _shortest_word(start, goal, moves) -> Optional[list]:
-    """Labels along a shortest path from start to goal, or None if unreachable.
-
-    Breadth-first search with parent pointers; moves(x) yields the
-    (label, successor) pairs of x, and ties go to the earlier-yielded
-    move.  Returns [] when start == goal.
-    """
-    if start == goal:
-        return []
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for label, y in moves(x):
-            if y in parent:
-                continue
-            parent[y] = (x, label)
-            if y == goal:
-                word = []
-                while parent[y] is not None:
-                    y, label = parent[y]
-                    word.append(label)
-                return word[::-1]
-            queue.append(y)
-    return None
-
-
 def shortest_path(g: KGraph, u: Vertex, v: Vertex) -> Optional[list[int]]:
     """Shortest arc sequence from u to v; lexicographic tie-break on basis index.
 
     Vertices are visited once, so the result is a path of length at most
     |V(G)| - 1.  Returns [] when u == v and None when v is unreachable.
     """
-    return _shortest_word(u, v, lambda x: ((i, g.arcs[i].target)
-                                           for i in g.out[x]))
+    words = bfs_words(u, lambda x: ((i, g.arcs[i].target) for i in g.out[x]))
+    return next((list(w) for x, w in words if x == v), None)
 
 
 def saturate(w: Walk, D: Vertex) -> Walk:
@@ -264,9 +239,9 @@ def _compress_segment(g: KGraph, start: Vertex, steps: list[int],
     total = reduce(compose, perms, identity(g.k))
     # Shortest factorization of total over the pieces, as piece indices;
     # total is their product, so the search in their group reaches it.
-    chosen = _shortest_word(identity(g.k), total,
-                            lambda p: ((j, compose(p, q))
-                                       for j, q in enumerate(perms)))
+    words = bfs_words(identity(g.k),
+                      lambda p: ((j, compose(p, q)) for j, q in enumerate(perms)))
+    chosen = next(w for p, w in words if p == total)
     new = head + [idx for j in chosen for idx in pieces[j]] + tail
     if len(new) > len(steps):
         new = list(steps)  # the original is equivalent and already shorter

@@ -21,6 +21,7 @@ ABSENT = "absent"
 GAVE_UP = "gave_up"
 
 DEFAULT_NODE_CAP = 10_000_000
+DEFAULT_AUTOMATA_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ class WorstCaseResult:
 
 
 def worst_case_pds(n: int, a: int, b: int, k: int,
-                   cap: int = 10_000_000) -> WorstCaseResult:
+                   cap: int = DEFAULT_AUTOMATA_CAP) -> WorstCaseResult:
     """Exhaustive worst case of the shortest-PDS length at fixed alphabet sizes.
 
     Enumerates all complete Mealy automata with n states, a inputs and b

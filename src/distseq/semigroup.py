@@ -9,10 +9,11 @@ hand tuples back at the public API.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import deque
 from collections.abc import Mapping
 from math import lcm
 from typing import Iterable, Optional
+
+from .automata import bfs_words
 
 Transformation = tuple[int, ...]
 
@@ -224,30 +225,24 @@ def restriction_complexity(basis: Iterable[Transformation],
                            f: PartialBijection) -> Optional[int]:
     """Minimum complexity over all closure elements restricting to f on its domain.
 
-    BFS over the tuple of current images of the domain points; any
-    product that collapses two domain points can never restrict to the
-    injective f, so non-injective tuples are pruned.
+    Breadth-first search over the tuple of current images of the domain
+    points, from None for the empty product, so f.domain itself counts
+    only when a non-empty product reaches it; any product that collapses
+    two domain points can never restrict to the injective f, so
+    non-injective tuples are pruned.
     """
     basis = checked_basis(basis)
     n = len(basis[0])
     if any(not 0 <= x < n for x in f.domain + f.images):
         raise ValueError("f has a domain point or image outside the ground set")
-    start = f.domain
-    goal = f.images
-    k = len(start)
-    visited = {start}
-    queue = deque([(start, 0)])
-    while queue:
-        cur, d = queue.popleft()
-        for g in basis:
-            nxt = tuple(g[x] for x in cur)
-            if nxt == goal:
-                return d + 1
-            if len(set(nxt)) < k or nxt in visited:
-                continue
-            visited.add(nxt)
-            queue.append((nxt, d + 1))
-    return None
+
+    def moves(cur):
+        for i, g in enumerate(basis):
+            nxt = tuple(g[x] for x in (f.domain if cur is None else cur))
+            if len(set(nxt)) == f.k:
+                yield i, nxt
+    return next((len(w) for cur, w in bfs_words(None, moves)
+                 if cur == f.images), None)
 
 
 def _bases(C: Iterable[Transformation], cap: int):

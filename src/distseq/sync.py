@@ -6,40 +6,37 @@ a letter a leads to the image of S exactly when a is defined on all of S.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
-from .automata import PartialSemiautomaton, image, step
+from .automata import PartialSemiautomaton, bfs_words, image, step
 
 Word = tuple[int, ...]
 
 
-def _bfs_subsets(aut: PartialSemiautomaton, start: frozenset):
+def _subsets(aut: PartialSemiautomaton, S: frozenset):
     """Yield (subset, lex-least shortest word) in breadth-first order."""
-    visited = {start}
-    queue = deque([(start, ())])
-    while queue:
-        S, word = queue.popleft()
-        yield S, word
+    def moves(T):
         for a in range(aut.n_inputs):
-            S2 = step(aut, S, a)
-            if S2 is None or S2 in visited:
-                continue
-            visited.add(S2)
-            queue.append((S2, word + (a,)))
+            T2 = step(aut, T, a)
+            if T2 is not None:
+                yield a, T2
+    return bfs_words(S, moves)
+
+
+def _irreducible(aut: PartialSemiautomaton, S: frozenset) -> bool:
+    """True iff no defined word shrinks S; stops at the first smaller image."""
+    return all(len(T) == len(S) for T, _ in _subsets(aut, S))
 
 
 def reachable_subsets(aut: PartialSemiautomaton, S) -> set[frozenset]:
     """All defined images of S, including S itself."""
-    return {T for T, _ in _bfs_subsets(aut, frozenset(S))}
+    return {T for T, _ in _subsets(aut, frozenset(S))}
 
 
 def shortest_carefully_synchronizing(aut: PartialSemiautomaton) -> Optional[Word]:
     """Lex-least shortest word defined on all states that maps Q to a singleton."""
-    for S, word in _bfs_subsets(aut, frozenset(aut.states())):
-        if len(S) == 1:
-            return word
-    return None
+    return next((w for S, w in _subsets(aut, frozenset(aut.states()))
+                 if len(S) == 1), None)
 
 
 def is_irreducible(aut: PartialSemiautomaton, w) -> bool:
@@ -50,15 +47,11 @@ def is_irreducible(aut: PartialSemiautomaton, w) -> bool:
     reachability over defined-image subsets.
     """
     S = image(aut, aut.states(), w)
-    if S is None:
-        return False
-    return all(len(T) == len(S) for T in reachable_subsets(aut, S))
+    return S is not None and _irreducible(aut, S)
 
 
 def shortest_irreducible(aut: PartialSemiautomaton) -> Optional[Word]:
     """Lex-least shortest irreducible word; the empty word is a legal answer
     when no defined word shrinks the full state set."""
-    for S, word in _bfs_subsets(aut, frozenset(aut.states())):
-        if all(len(T) == len(S) for T in reachable_subsets(aut, S)):
-            return word
-    return None
+    return next((w for S, w in _subsets(aut, frozenset(aut.states()))
+                 if _irreducible(aut, S)), None)

@@ -2,9 +2,11 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distseq.automata import (MealyAutomaton, PartialSemiautomaton, Partition,
-                              image, is_reduced, minimize, run, uncertainty)
+                              bfs_words, image, is_reduced, minimize, run,
+                              uncertainty)
 from distseq.extremal import fig1_automaton
 
 
@@ -177,3 +179,54 @@ def test_validation():
         MealyAutomaton(2, 1, 1, ((0,), (0,)), ((3,), (0,)))
     with pytest.raises(ValueError):
         PartialSemiautomaton(2, 1, ((9,), (None,)))
+
+
+def labelled_digraphs():
+    """(start, table): table[x][a] is the successor of node x under label a,
+    or None; at most one arc per node and label."""
+    def table(n, labels):
+        cell = st.none() | st.integers(0, n - 1)
+        row = st.tuples(*[cell] * labels)
+        return st.tuples(st.integers(0, n - 1), st.tuples(*[row] * n))
+    return st.integers(1, 6).flatmap(
+        lambda n: st.integers(1, 3).flatmap(lambda labels: table(n, labels)))
+
+
+def shortlex_first_words(start, table):
+    """Reference: the first word in shortlex order that reaches each node."""
+    first = {}
+    for length in range(len(table)):  # a shortest path visits each node once
+        for w in product(range(len(table[0])), repeat=length):
+            x = start
+            for a in w:
+                x = table[x][a] if x is not None else None
+            if x is not None and x not in first:
+                first[x] = w
+    return first
+
+
+class TestBfsWords:
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_digraphs())
+    def test_against_shortlex_enumeration(self, case):
+        start, table = case
+
+        def moves(x):
+            return ((a, y) for a, y in enumerate(table[x]) if y is not None)
+
+        found = list(bfs_words(start, moves))
+        assert found[0] == (start, ())
+        nodes = [x for x, _ in found]
+        assert len(nodes) == len(set(nodes))
+        lengths = [len(w) for _, w in found]
+        assert lengths == sorted(lengths)
+        assert dict(found) == shortlex_first_words(start, table)
+
+    def test_yields_a_node_as_soon_as_it_is_found(self):
+        # a caller that stops at 1 reads no further move of 0, and none of 1
+        def moves(x):
+            assert x == 0, "expanded the node the caller stopped at"
+            yield 0, 1
+            raise AssertionError("read past the move that found the node")
+
+        assert next(w for x, w in bfs_words(0, moves) if x == 1) == (0,)

@@ -129,6 +129,16 @@ class TestSemigroupCommands:
         assert code == 0
         assert value_of(out, "result.value") == "2"
 
+    @pytest.mark.parametrize("ground", ["-1", "0"])
+    @pytest.mark.parametrize("kind", ["tn", "sn"])
+    def test_worst_rejects_empty_ground_set(self, capsys, ground, kind):
+        code = dispatch(["semigroup", "worst", "--ground", ground,
+                         "--set", kind])
+        out = lines_of(capsys)
+        assert code == 1
+        assert value_of(out, "status") == "error"
+        assert value_of(out, "result.message") == "--ground must be at least 1"
+
     def test_diam_three_cycle(self, capsys):
         code = dispatch(["semigroup", "diam", "--ground", "3",
                          "--maps", "1,2,0"])

@@ -7,7 +7,7 @@ from distseq.automata import image, is_reduced
 from distseq.extremal import (LowerBoundReport, check_cycle_characterization,
                               fig1_automaton, sokolovskii_instance,
                               verify_lower_bound)
-from distseq import semigroup
+from distseq import extremal, semigroup
 from distseq.semigroup import CapExceeded, closure, transformation_order
 
 
@@ -67,9 +67,13 @@ class TestSokolovskiiInstance:
         with pytest.raises(ValueError):
             sokolovskii_instance(4, 0)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        # (6, 2) needs C(5, 2) = 10 letters
+        monkeypatch.setattr(extremal, "DEFAULT_LETTER_CAP", 10)
+        assert sokolovskii_instance(6, 2).m == 10
+        monkeypatch.setattr(extremal, "DEFAULT_LETTER_CAP", 9)
         with pytest.raises(CapExceeded):
-            sokolovskii_instance(6, 2, cap=3)
+            sokolovskii_instance(6, 2)
 
 
 class TestCycleCharacterization:

@@ -141,6 +141,28 @@ class TestRestrictionComplexity:
         with pytest.raises(ValueError):
             PartialBijection((0, 1), (2, 2))
 
+    def test_identity_on_domain_needs_a_non_empty_product(self):
+        f = PartialBijection((0, 1), (0, 1))
+        assert restriction_complexity([(1, 0, 2)], f) == 2
+        assert restriction_complexity([(1, 2, 0)], f) == 3
+        assert restriction_complexity([(1, 1, 0)], f) is None
+
+    def test_empty_domain(self):
+        assert restriction_complexity([(0, 0)], PartialBijection((), ())) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), bases(n))),
+           st.data())
+    def test_against_closure(self, case, data):
+        n, basis = case
+        k = data.draw(st.integers(0, n))
+        domain = tuple(sorted(data.draw(st.permutations(range(n)))[:k]))
+        images = data.draw(st.one_of(
+            st.just(domain), st.permutations(range(n)).map(lambda p: p[:k])))
+        f = PartialBijection(domain, tuple(images))
+        assert restriction_complexity(basis, f) == \
+            restriction_by_closure(basis, f)
+
     def test_basis_outside_the_ground_set_rejected(self):
         f = PartialBijection((0, 1), (1, 7))
         with pytest.raises(ValueError, match="basis maps a point outside"):
@@ -280,6 +302,12 @@ def tuple_closure(basis):
                 level[h] = level[f] + 1
                 queue.append(h)
     return level
+
+
+def restriction_by_closure(basis, f):
+    """Reference: the least level of a closure element that agrees with f."""
+    return min((d for g, d in tuple_closure(basis).items()
+                if tuple(g[x] for x in f.domain) == f.images), default=None)
 
 
 def diameter_and_witness(level):

@@ -1,9 +1,12 @@
 import random
+import time
+from collections import deque
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from distseq.automata import PartialSemiautomaton, image
+from distseq.automata import PartialSemiautomaton, image, step
 from distseq.sync import (is_irreducible, reachable_subsets,
                           shortest_carefully_synchronizing,
                           shortest_irreducible)
@@ -145,3 +148,73 @@ def test_reachable_subsets_contains_start():
     reach = reachable_subsets(aut, (0, 1))
     assert frozenset((0, 1)) in reach
     assert all(len(T) == 2 for T in reach)
+
+
+def cerny(n):
+    """Cerny automaton C_n: letter 0 rotates, letter 1 sends n-1 to 0 and
+    fixes the rest; its shortest reset word has length (n-1)^2."""
+    return PartialSemiautomaton(n, 2, tuple(((q + 1) % n, 0 if q == n - 1 else q)
+                                            for q in range(n)))
+
+
+def test_cerny_family():
+    began = time.perf_counter()
+    for n in range(2, 13):
+        aut = cerny(n)
+        for w in (shortest_carefully_synchronizing(aut),
+                  shortest_irreducible(aut)):
+            assert w is not None and len(w) == (n - 1) ** 2
+            assert len(image(aut, aut.states(), w)) == 1
+            assert is_irreducible(aut, w)
+    assert time.perf_counter() - began < 10
+
+
+def reference_searches(aut):
+    """Reference subset-lattice searches: a dequeue-order BFS of its own,
+    and the full reachable set built for every subset an irreducibility
+    check visits."""
+    def bfs(start):
+        visited = {start}
+        queue = deque([(start, ())])
+        while queue:
+            S, word = queue.popleft()
+            yield S, word
+            for a in range(aut.n_inputs):
+                S2 = step(aut, S, a)
+                if S2 is not None and S2 not in visited:
+                    visited.add(S2)
+                    queue.append((S2, word + (a,)))
+
+    def reachable(S):
+        return {T for T, _ in bfs(frozenset(S))}
+
+    def irreducible(S):
+        return all(len(T) == len(S) for T in reachable(S))
+
+    Q = frozenset(aut.states())
+    careful = next((w for S, w in bfs(Q) if len(S) == 1), None)
+    shortest = next((w for S, w in bfs(Q) if irreducible(S)), None)
+    return reachable, irreducible, careful, shortest
+
+
+def partial_semiautomata():
+    def table(n, letters):
+        cell = st.none() | st.integers(0, n - 1)
+        return st.tuples(*[st.tuples(*[cell] * letters)] * n).map(
+            lambda nxt: PartialSemiautomaton(n, letters, nxt))
+    return st.integers(1, 6).flatmap(
+        lambda n: st.integers(1, 3).flatmap(lambda letters: table(n, letters)))
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(partial_semiautomata(), st.data())
+    def test_all_four_searches(self, aut, data):
+        reachable, irreducible, careful, shortest = reference_searches(aut)
+        assert shortest_carefully_synchronizing(aut) == careful
+        assert shortest_irreducible(aut) == shortest
+        S = data.draw(st.sets(st.integers(0, aut.n_states - 1), min_size=1))
+        assert reachable_subsets(aut, S) == reachable(S)
+        w = data.draw(st.lists(st.integers(0, aut.n_inputs - 1), max_size=4))
+        img = image(aut, aut.states(), w)
+        assert is_irreducible(aut, w) == (img is not None and irreducible(img))
