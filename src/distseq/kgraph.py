@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .automata import bfs_words
 from .semigroup import (CapExceeded, PartialBijection, Transformation,
@@ -82,8 +82,11 @@ class Walk:
     def __post_init__(self):
         self.steps = tuple(self.steps)
         cur = self.start
+        arcs = self.graph.arcs
         for idx in self.steps:
-            arc = self.graph.arcs[idx]
+            if not 0 <= idx < len(arcs):
+                raise ValueError(f"arc index {idx} is not in 0..{len(arcs) - 1}")
+            arc = arcs[idx]
             if arc.source != cur:
                 raise ValueError("walk arcs do not chain")
             cur = arc.target
@@ -108,6 +111,8 @@ def walk_from_basis_indices(g: KGraph, start: Vertex,
         raise ValueError(f"start {cur} is not a vertex (a sorted "
                          f"{g.k}-subset of 0..{g.n - 1})")
     for bi in basis_indices:
+        if not 0 <= bi < len(g.basis):
+            raise ValueError(f"basis index {bi} is not in 0..{len(g.basis) - 1}")
         arc_idx = next((i for i in g.out[cur] if g.arcs[i].basis_index == bi), None)
         if arc_idx is None:
             raise ValueError(f"basis map {bi} is not injective on {cur}")
@@ -188,29 +193,36 @@ def shortest_path(g: KGraph, u: Vertex, v: Vertex) -> Optional[list[int]]:
     return next((list(w) for x, w in words if x == v), None)
 
 
-def saturate(w: Walk, D: Vertex) -> Walk:
-    """D-saturation: insert order-many pivot round trips at every visited vertex.
+def _saturation(g: KGraph, start: Vertex, steps: Sequence[int], D: Vertex):
+    """The D-saturation of a walk, cut at its visits of D: (head, pieces, tail).
 
-    For each vertex V on the walk, the closed walk c = p(V->D), p(D->V)
-    evaluates to a permutation of V; repeating c its order many times
-    evaluates to the identity, so the saturated walk is equivalent and
-    visits D between consecutive original arcs.
-    """
-    g = w.graph
-    D = tuple(D)
-    steps: list[int] = []
-    for i, v in enumerate(w.vertex_sequence()):
-        to_d = shortest_path(g, v, D)
-        from_d = shortest_path(g, D, v)
+    head is p(start->D), tail is p(D->end).  At a walk position at V the loop
+    p(D->V), p(V->D) evaluates to a permutation of some order m: m - 1 copies
+    of it are pieces, and the position's arc joins one more piece p(D->V),
+    arc, p(V'->D).  Shortest paths are simple, so D is visited exactly
+    between the pieces."""
+    verts = [start] + [g.arcs[i].target for i in steps]
+    trip = {}  # V -> (p(V->D), p(D->V), order of the loop), in walk order
+    for v in dict.fromkeys(verts):
+        to_d, from_d = shortest_path(g, v, D), shortest_path(g, D, v)
         if to_d is None or from_d is None:
             raise ValueError(f"vertex {v} and pivot {D} are not mutually reachable")
-        cycle = to_d + from_d
-        if cycle:
-            m = transformation_order(_walk_perm(g, cycle))
-            steps.extend(cycle * m)
-        if i < len(w.steps):
-            steps.append(w.steps[i])
-    return Walk(g, w.start, tuple(steps))
+        trip[v] = to_d, from_d, transformation_order(_walk_perm(g, from_d + to_d))
+    pieces = []
+    for i, v in enumerate(verts):
+        to_d, from_d, m = trip[v]
+        pieces += [from_d + to_d] * (m - 1)
+        if i < len(steps):
+            pieces.append(from_d + [steps[i]] + trip[verts[i + 1]][0])
+    return trip[start][0], pieces, trip[verts[-1]][1]
+
+
+def saturate(w: Walk, D: Vertex) -> Walk:
+    """D-saturation: insert order-many pivot round trips at every visited
+    vertex.  The result is equivalent, since a loop repeated its order many
+    times evaluates to the identity, and visits D between original arcs."""
+    head, pieces, tail = _saturation(w.graph, w.start, w.steps, tuple(D))
+    return Walk(w.graph, w.start, tuple(head + [i for p in pieces for i in p] + tail))
 
 
 @dataclass(frozen=True)
@@ -227,14 +239,7 @@ def _compress_segment(g: KGraph, start: Vertex, steps: list[int],
     """Compress one SCC-internal subwalk; returns equivalent arc list + stats."""
     if not steps:
         return [], ComponentReport(len(comp), 0, 0)
-    pivot = comp[0]  # lexicographically smallest vertex of the component
-    sat = saturate(Walk(g, start, tuple(steps)), pivot)
-    verts = sat.vertex_sequence()
-    occ = [i for i, v in enumerate(verts) if v == pivot]
-    # saturation guarantees at least one visit of the pivot
-    head = list(sat.steps[:occ[0]])
-    tail = list(sat.steps[occ[-1]:])
-    pieces = [list(sat.steps[occ[j]:occ[j + 1]]) for j in range(len(occ) - 1)]
+    head, pieces, tail = _saturation(g, start, steps, comp[0])  # pivot: smallest vertex
     perms = [_walk_perm(g, p) for p in pieces]
     total = reduce(compose, perms, identity(g.k))
     # Shortest factorization of total over the pieces, as piece indices;
@@ -252,9 +257,10 @@ def compress_walk_report(w: Walk) -> tuple[Walk, list[ComponentReport]]:
     """Equivalent walk of bounded length, with per-component statistics.
 
     The walk is split into maximal SCC-internal subwalks joined by
-    bridging arcs; each subwalk is saturated at its component's pivot,
-    cut at pivot occurrences, and the product of the closed pieces is
-    refactored by a shortest factorization over the pieces themselves.
+    bridging arcs.  Each subwalk's saturation at its component's pivot is
+    cut at the pivot's visits without building the saturated walk, and
+    the product of the closed pieces is refactored by a shortest
+    factorization over the pieces themselves.
     Each compressed piece has length at most
     2(|V_c| - 1) + (2|V_c| - 1) * r for its achieved factor count r.
     """

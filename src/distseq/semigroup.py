@@ -251,7 +251,8 @@ def _bases(C: Iterable[Transformation], cap: int):
     items = sorted({tuple(f) for f in C})
     count = (1 << len(items)) - 1
     if count > cap:
-        raise CapExceeded(f"would enumerate {count} bases (cap {cap})")
+        # 2^|C| - 1 can have more digits than int-to-str conversion allows
+        raise CapExceeded(f"would enumerate 2^{len(items)} - 1 bases (cap {cap})")
     return (tuple(items[i] for i in range(len(items)) if mask >> i & 1)
             for mask in range(1, count + 1))
 

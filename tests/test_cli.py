@@ -139,6 +139,18 @@ class TestSemigroupCommands:
         assert value_of(out, "status") == "error"
         assert value_of(out, "result.message") == "--ground must be at least 1"
 
+    @pytest.mark.parametrize("ground,kind,maps", [("6", "tn", 46656),
+                                                  ("8", "sn", 40320)])
+    def test_worst_gives_up_past_digit_limit(self, capsys, ground, kind, maps):
+        # 2^maps - 1 has more digits than Python converts to a string
+        code = dispatch(["semigroup", "worst", "--ground", ground,
+                         "--set", kind])
+        out = lines_of(capsys)
+        assert code == 2
+        assert value_of(out, "status") == "gave-up"
+        assert value_of(out, "result.message") == \
+            f"would enumerate 2^{maps} - 1 bases (cap {semigroup.DEFAULT_BASES_CAP})"
+
     def test_diam_three_cycle(self, capsys):
         code = dispatch(["semigroup", "diam", "--ground", "3",
                          "--maps", "1,2,0"])
@@ -201,6 +213,9 @@ class TestKgraphCommands:
         (["compress", "--ground", "3", "--k", "2", "--maps", "1,2,0",
           "--start", "0,1,2", "--walk", "0"],
          "start (0, 1, 2) is not a vertex (a sorted 2-subset of 0..2)"),
+        (["compress", "--ground", "3", "--k", "2", "--maps", "1,2,0",
+          "--start", "0,1", "--walk", "0,7"],
+         "basis index 7 is not in 0..0"),
     ])
     def test_bad_input_is_error(self, capsys, argv, message):
         # an uncaught KeyError would propagate out of dispatch

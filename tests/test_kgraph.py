@@ -1,16 +1,22 @@
 import random
+from functools import reduce
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from distseq import kgraph
+from distseq.automata import bfs_words
 from distseq.extremal import sokolovskii_instance
-from distseq.kgraph import (Walk, build_kgraph, compress_walk,
-                            compress_walk_report, eval_walk, saturate, scc,
-                            shortest_path, to_dot, walk_from_basis_indices)
-from distseq.semigroup import (CapExceeded, PartialBijection, identity,
-                               restriction_complexity, worst_case_complexity)
+from distseq.kgraph import (ComponentReport, Walk, _walk_perm, build_kgraph,
+                            compress_walk, compress_walk_report, eval_walk,
+                            saturate, scc, shortest_path, to_dot,
+                            walk_from_basis_indices)
+from distseq.semigroup import (CapExceeded, PartialBijection, compose,
+                               identity, restriction_complexity,
+                               transformation_order, worst_case_complexity)
 
 
 def random_basis(rng, n, size):
@@ -71,6 +77,20 @@ class TestBuild:
         with pytest.raises(ValueError,
                            match="basis maps a point outside the ground set"):
             build_kgraph([(1, 2, 7)], 2)
+
+    def test_walk_arc_index_out_of_range(self):
+        g = build_kgraph([(1, 2, 0)], 2)
+        # arc 2 leaves (1, 2): index -1 would alias it
+        for steps in ((-1,), (3,), (2, 3)):
+            with pytest.raises(ValueError, match=r"is not in 0\.\.2"):
+                Walk(g, (1, 2), steps)
+
+    def test_basis_index_out_of_range(self):
+        g = build_kgraph([(1, 2, 0)], 2)
+        for bi in (-1, 1, 7):
+            with pytest.raises(ValueError,
+                               match=f"basis index {bi} is not in 0\\.\\.0"):
+                walk_from_basis_indices(g, (0, 1), [0, bi])
 
     def test_walk_start_must_be_a_vertex(self):
         g = build_kgraph([(1, 2, 0)], 2)
@@ -281,6 +301,93 @@ class TestWalkProperties:
         for rep in reports:
             assert rep.length <= 2 * (rep.vertex_count - 1) + \
                 (2 * rep.vertex_count - 1) * rep.factor_count
+
+
+def reference_saturate(w, D):
+    """Per-position saturation: two shortest paths and a loop order at
+    every position of the walk, with the round trips inlined."""
+    g = w.graph
+    D = tuple(D)
+    steps = []
+    for i, v in enumerate(w.vertex_sequence()):
+        to_d = shortest_path(g, v, D)
+        from_d = shortest_path(g, D, v)
+        if to_d is None or from_d is None:
+            raise ValueError(f"vertex {v} and pivot {D} are not mutually reachable")
+        cycle = to_d + from_d
+        if cycle:
+            m = transformation_order(_walk_perm(g, cycle))
+            steps.extend(cycle * m)
+        if i < len(w.steps):
+            steps.append(w.steps[i])
+    return Walk(g, w.start, tuple(steps))
+
+
+def reference_compress_segment(g, start, steps, comp):
+    """Saturate-then-cut: build the saturated walk, find the pivot's visits
+    in it and slice it into head, closed pieces and tail."""
+    if not steps:
+        return [], ComponentReport(len(comp), 0, 0)
+    pivot = comp[0]
+    sat = reference_saturate(Walk(g, start, tuple(steps)), pivot)
+    occ = [i for i, v in enumerate(sat.vertex_sequence()) if v == pivot]
+    head = list(sat.steps[:occ[0]])
+    tail = list(sat.steps[occ[-1]:])
+    pieces = [list(sat.steps[occ[j]:occ[j + 1]]) for j in range(len(occ) - 1)]
+    perms = [_walk_perm(g, p) for p in pieces]
+    total = reduce(compose, perms, identity(g.k))
+    words = bfs_words(identity(g.k),
+                      lambda p: ((j, compose(p, q)) for j, q in enumerate(perms)))
+    chosen = next(w for p, w in words if p == total)
+    new = head + [idx for j in chosen for idx in pieces[j]] + tail
+    if len(new) > len(steps):
+        new = list(steps)
+    return new, ComponentReport(len(comp), len(chosen), len(new))
+
+
+def steps_or_error(saturate_fn, w, pivot):
+    try:
+        return saturate_fn(w, pivot).steps
+    except ValueError as e:
+        return str(e)
+
+
+class TestSaturationLayout:
+    """The saturation laid out as head, pieces and tail equals the
+    saturated walk built position by position, and cut at the pivot."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(walks(), st.data())
+    def test_saturate_matches_reference(self, w, data):
+        # any vertex as pivot, so unreachable pivots and walks that leave
+        # the pivot's component give the reference's error message
+        pivot = data.draw(st.sampled_from(w.graph.vertices))
+        assert steps_or_error(saturate, w, pivot) == \
+            steps_or_error(reference_saturate, w, pivot)
+
+    @settings(max_examples=200, deadline=None)
+    @given(walks())
+    def test_compress_matches_reference(self, w):
+        with mock.patch.object(kgraph, "_compress_segment",
+                               reference_compress_segment):
+            expected = compress_walk_report(w)
+        cw, reports = compress_walk_report(w)
+        assert (cw.steps, reports) == (expected[0].steps, expected[1])
+
+    def test_pivot_paths_once_per_vertex(self, monkeypatch):
+        inst = sokolovskii_instance(5, 2)
+        g = build_kgraph(inst.basis, 2)
+        w = walk_from_basis_indices(g, inst.subsets[0], list(range(inst.m)) * 3)
+        comp = next(c for c in scc(g) if w.start in c)
+        verts = w.vertex_sequence()
+        assert set(verts) <= set(comp) and len(set(verts)) < len(verts)
+        calls = []
+        real = kgraph.shortest_path
+        monkeypatch.setattr(kgraph, "shortest_path",
+                            lambda *a: calls.append(a) or real(*a))
+        new, _ = kgraph._compress_segment(g, w.start, list(w.steps), comp)
+        assert eval_walk(Walk(g, w.start, tuple(new))) == eval_walk(w)
+        assert 0 < len(calls) <= 2 * len(set(verts))
 
 
 def test_restriction_complexity_respects_corollary_bound():

@@ -254,7 +254,7 @@ class TestDiameter:
         monkeypatch.setattr(semigroup, "DEFAULT_BASES_CAP", 63)
         assert group_worst_diameter(s3) == 3
         monkeypatch.setattr(semigroup, "DEFAULT_BASES_CAP", 62)
-        with pytest.raises(CapExceeded, match="63 bases"):
+        with pytest.raises(CapExceeded, match=r"2\^6 - 1 bases \(cap 62\)"):
             group_worst_diameter(s3)
 
     def test_rejects_non_bijection(self):
