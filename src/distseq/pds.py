@@ -9,8 +9,10 @@ two pairs sharing a current state can never be split and kills the node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from collections import deque
+from math import factorial
+from operator import getitem
 from typing import Iterable, Optional
 
 from .automata import MealyAutomaton
@@ -119,14 +121,67 @@ class WorstCaseResult:
     subset: Optional[tuple[int, ...]]
 
 
+def _orbit_representatives(n, a, b):
+    """Yield (nxt, out) for the least automaton of every relabelling orbit.
+
+    Automaton i is the mixed-radix number whose digit at position q*a + x
+    (most significant first) is the cell q2*b + y, where q2 = nxt[q][x]
+    and y = out[q][x]: itertools.product order over the cells.  The least
+    unmarked index is yielded and its images under the relabellings of
+    states, inputs and outputs are marked.  Marking with any set of
+    relabellings that holds the identity still yields the least member of
+    every orbit; marking with all of them yields nothing else.
+    """
+    m, base = n * a, n * b
+    total = base ** m
+    weight = [base ** (m - 1 - p) for p in range(m)]
+    # Where the tables would hold more entries than there are automata
+    # (n=2, a=1, b=10 has 2*10! relabellings of 400 automata), only the
+    # identity is used and every automaton is yielded.
+    if factorial(n) * factorial(a) * factorial(b) * m * base <= total:
+        group = product(permutations(range(n)), permutations(range(a)),
+                        permutations(range(b)))
+    else:
+        group = [(range(n), range(a), range(b))]
+    # tables[g][p][c]: what cell c at position p adds to the index of the
+    # image under relabelling g, so an image index is one sum over m cells
+    tables = [[[weight[s[q] * a + t[x]] * (s[c // b] * b + r[c % b])
+                for c in range(base)]
+               for q in range(n) for x in range(a)]
+              for s, t, r in group]
+    seen = bytearray(total)
+    i = 0
+    while i != -1:
+        digits, rest = [0] * m, i
+        for p in range(m - 1, -1, -1):
+            rest, digits[p] = divmod(rest, base)
+        yield (tuple(tuple(digits[q * a + x] // b for x in range(a))
+                     for q in range(n)),
+               tuple(tuple(digits[q * a + x] % b for x in range(a))
+                     for q in range(n)))
+        for table in tables:
+            seen[sum(map(getitem, table, digits))] = 1
+        i = seen.find(0, i + 1)
+
+
 def worst_case_pds(n: int, a: int, b: int, k: int,
                    cap: int = DEFAULT_AUTOMATA_CAP) -> WorstCaseResult:
     """Exhaustive worst case of the shortest-PDS length at fixed alphabet sizes.
 
-    Enumerates all complete Mealy automata with n states, a inputs and b
+    Covers all complete Mealy automata with n states, a inputs and b
     outputs, and maximizes the shortest-PDS length over every k-element
     state subset.  Subsets without a PDS contribute 0; a search stopped by
     the node cap raises CapExceeded rather than count as 0.
+
+    Relabelling states, inputs or outputs changes no shortest-PDS length,
+    so one automaton per relabelling orbit is searched: the least in
+    itertools.product order over the (next state, output) cells.  The
+    first automaton in that order to reach the maximum is such a
+    representative, so the reported automaton and subset are those of
+    the full enumeration.  Where the relabelling tables, n!*a!*b! * n*a *
+    n*b entries, would outnumber the automata, every automaton is
+    searched.  `cap` still bounds the raw count (n*b)^(n*a): marking the
+    orbits takes one byte per automaton.
 
     Note: the worst case over ALL n-state automata places no bound on the
     alphabets; this function fixes (a, b), so its value is a lower bound
@@ -134,17 +189,14 @@ def worst_case_pds(n: int, a: int, b: int, k: int,
     """
     if k < 2 or k > n:
         raise ValueError("need 2 <= k <= n")
+    if a < 1 or b < 1:
+        raise ValueError("automaton dimensions must be positive")
     total = (n * b) ** (n * a)
     if total > cap:
         raise CapExceeded(f"would enumerate {total} automata (cap {cap})")
     subsets = list(combinations(range(n), k))
-    cells = [(q2, y) for q2 in range(n) for y in range(b)]
     best = WorstCaseResult(0, None, None)
-    for assignment in product(cells, repeat=n * a):
-        nxt = tuple(tuple(assignment[q * a + x][0] for x in range(a))
-                    for q in range(n))
-        out = tuple(tuple(assignment[q * a + x][1] for x in range(a))
-                    for q in range(n))
+    for nxt, out in _orbit_representatives(n, a, b):
         for S in subsets:
             res = _search(nxt, out, a, S, None, DEFAULT_NODE_CAP)
             if res.status == FOUND:

@@ -65,6 +65,17 @@ class TestPds:
         assert code == 0
         assert value_of(out, "result.max_length") == "1"
 
+    @pytest.mark.parametrize("inputs, outputs", [("2", "0"), ("-1", "2")])
+    def test_worst_rejects_empty_alphabet(self, capsys, inputs, outputs):
+        # no automaton has an empty alphabet: an error, not max_length 0
+        code = dispatch(["pds-worst", "--states", "3", "--inputs", inputs,
+                         "--outputs", outputs, "--k", "2"])
+        out = lines_of(capsys)
+        assert code == 1
+        assert value_of(out, "status") == "error"
+        assert value_of(out, "result.message") == \
+            "automaton dimensions must be positive"
+
 
 class TestLandauCommand:
     def test_k5(self, capsys):

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,3 +153,105 @@ class TestWorstCase:
         monkeypatch.setattr(pds, "DEFAULT_NODE_CAP", 1)
         with pytest.raises(CapExceeded, match="node cap 1"):
             worst_case_pds(2, 2, 2, 2)
+
+
+def all_automata(n, a, b):
+    """(nxt, out) of every automaton, in product order over the cells."""
+    cells = [(q2, y) for q2 in range(n) for y in range(b)]
+    for assignment in product(cells, repeat=n * a):
+        yield (tuple(tuple(assignment[q * a + x][0] for x in range(a))
+                     for q in range(n)),
+               tuple(tuple(assignment[q * a + x][1] for x in range(a))
+                     for q in range(n)))
+
+
+def reference_worst_case(n, a, b, k):
+    """worst_case_pds as one search per subset of every automaton."""
+    subsets = list(combinations(range(n), k))
+    best = (0, None, None)
+    for nxt, out in all_automata(n, a, b):
+        for S in subsets:
+            res = pds._search(nxt, out, a, S, None, pds.DEFAULT_NODE_CAP)
+            if res.status == FOUND and res.length > best[0]:
+                best = (res.length, MealyAutomaton(n, a, b, nxt, out), S)
+    return best
+
+
+def relabel(nxt, out, s, t, r):
+    """Rename state q to s[q], input x to t[x] and output y to r[y]."""
+    n, a = len(nxt), len(nxt[0])
+    nxt2 = [[None] * a for _ in range(n)]
+    out2 = [[None] * a for _ in range(n)]
+    for q in range(n):
+        for x in range(a):
+            nxt2[s[q]][t[x]] = s[nxt[q][x]]
+            out2[s[q]][t[x]] = r[out[q][x]]
+    return tuple(map(tuple, nxt2)), tuple(map(tuple, out2))
+
+
+def first_of_each_orbit(n, a, b):
+    """The first automaton in product order of every relabelling orbit."""
+    group = [(s, t, r) for s in permutations(range(n))
+             for t in permutations(range(a)) for r in permutations(range(b))]
+    seen, firsts = set(), []
+    for nxt, out in all_automata(n, a, b):
+        if (nxt, out) not in seen:
+            firsts.append((nxt, out))
+            seen.update(relabel(nxt, out, *g) for g in group)
+    return firsts
+
+
+# Every shape with n <= 3, alphabets of at most 3 letters and at most
+# 50,000 automata.
+SMALL_SHAPES = [(n, a, b, k)
+                for n in (2, 3) for a in (1, 2, 3) for b in (1, 2, 3)
+                for k in range(2, n + 1) if (n * b) ** (n * a) <= 50_000]
+
+# Relabelling tables larger than the automaton space: 2 * 12! and 3! * 6!
+# relabellings of 576 and 5,832 automata.
+MANY_LABEL_SHAPES = [(2, 1, 12, 2), (3, 1, 6, 3)]
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The (nxt, out) of every pds._search call, in call order."""
+    calls = []
+    search = pds._search
+
+    def recording(nxt, out, *args):
+        calls.append((nxt, out))
+        return search(nxt, out, *args)
+
+    monkeypatch.setattr(pds, "_search", recording)
+    return calls
+
+
+class TestOrbitEnumeration:
+    @pytest.mark.parametrize("shape", SMALL_SHAPES + MANY_LABEL_SHAPES,
+                             ids=lambda s: "n{}a{}b{}k{}".format(*s))
+    def test_equals_full_enumeration(self, shape):
+        res = worst_case_pds(*shape)
+        assert (res.max_length, res.automaton, res.subset) == \
+            reference_worst_case(*shape)
+
+    @pytest.mark.parametrize("n, a, b, k, orbits", [
+        (2, 2, 2, 2, 44), (2, 2, 3, 2, 74), (3, 1, 2, 3, 22),
+        (3, 2, 2, 2, 2038),
+    ])
+    def test_searches_first_automaton_of_each_orbit(self, searched,
+                                                    n, a, b, k, orbits):
+        worst_case_pds(n, a, b, k)
+        firsts = first_of_each_orbit(n, a, b)
+        assert len(firsts) == orbits
+        assert set(searched) == set(firsts)
+        assert len(searched) == orbits * comb(n, k)
+
+    def test_many_relabellings_search_every_automaton(self, searched):
+        worst_case_pds(2, 1, 12, 2)
+        assert searched == list(all_automata(2, 1, 12))
+
+    def test_three_outputs_witness(self):
+        # 531,441 automata; the maximum is n - 1 and the witness attains it
+        res = worst_case_pds(3, 2, 3, 2)
+        assert res.max_length == 2
+        assert shortest_pds(res.automaton, res.subset).length == 2
