@@ -240,12 +240,20 @@ def _compress_segment(g: KGraph, start: Vertex, steps: list[int],
     if not steps:
         return [], ComponentReport(len(comp), 0, 0)
     head, pieces, tail = _saturation(g, start, steps, comp[0])  # pivot: smallest vertex
-    perms = [_walk_perm(g, p) for p in pieces]
+    keys = [tuple(p) for p in pieces]
+    perm_of = {key: _walk_perm(g, key) for key in set(keys)}
+    perms = [perm_of[key] for key in keys]
     total = reduce(compose, perms, identity(g.k))
     # Shortest factorization of total over the pieces, as piece indices;
     # total is their product, so the search in their group reaches it.
+    # Only the first piece of each permutation is a move: swapping a later
+    # equal one for it gives a lex-smaller word with the same product.
+    first = {}
+    for j, q in enumerate(perms):
+        first.setdefault(q, j)
+    moves = [(j, q) for q, j in first.items()]
     words = bfs_words(identity(g.k),
-                      lambda p: ((j, compose(p, q)) for j, q in enumerate(perms)))
+                      lambda p: ((j, compose(p, q)) for j, q in moves))
     chosen = next(w for p, w in words if p == total)
     new = head + [idx for j in chosen for idx in pieces[j]] + tail
     if len(new) > len(steps):

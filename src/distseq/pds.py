@@ -1,21 +1,23 @@
 """Exact shortest preset-distinguishing-sequence search.
 
-The search runs over canonical "uncertainty nodes": partitions of the
-candidate set S into blocks of (initial state, current state) pairs.
-States in one block have produced identical outputs so far; a block with
-two pairs sharing a current state can never be split and kills the node.
+The search runs over the current-state uncertainty of S (Gill's successor
+tree): a node is the sorted tuple of blocks, each the sorted current states
+of the members of S that have produced identical outputs so far.  Whether
+a word finishes a PDS depends on nothing else, not on the initial states.
+A singleton block can never merge again and is dropped, so the empty node
+means S is distinguished; a block in which two states reach one current
+state can never be split and kills the node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from collections import deque
 from math import factorial
 from operator import getitem
 from typing import Iterable, Optional
 
-from .automata import MealyAutomaton
+from .automata import MealyAutomaton, bfs_words
 from .semigroup import CapExceeded
 
 FOUND = "found"
@@ -42,49 +44,40 @@ class PdsResult:
         return None if self.word is None else len(self.word)
 
 
-def _start_node(S):
-    return (tuple((q, q) for q in S),)
-
-
 def _expand(node, a, nxt, out):
     """Apply input a to a node; return the canonical successor or None if dead."""
     blocks = []
     for block in node:
         groups: dict[int, list] = {}
-        for init, cur in block:
-            groups.setdefault(out[cur][a], []).append((init, nxt[cur][a]))
+        for cur in block:
+            groups.setdefault(out[cur][a], []).append(nxt[cur][a])
         for g in groups.values():
-            if len(g) > 1 and len({c for _, c in g}) < len(g):
-                return None  # two merged states with equal outputs: unsplittable
-            blocks.append(tuple(g))
-    blocks.sort(key=lambda b: b[0][0])
+            if len(g) > 1:
+                if len(set(g)) < len(g):
+                    return None  # two merged states with equal outputs: unsplittable
+                blocks.append(tuple(sorted(g)))
+    blocks.sort()
     return tuple(blocks)
 
 
 def _search(nxt, out, n_inputs, S, max_len, cap_nodes):
-    start = _start_node(S)
-    if all(len(b) == 1 for b in start):
-        return PdsResult(FOUND, ())
-    visited = {start}
-    queue = deque([(start, ())])
-    truncated = False
-    while queue:
-        node, word = queue.popleft()
-        if max_len is not None and len(word) >= max_len:
-            truncated = True
-            continue
+    """Breadth-first from the node (S,) to the first empty node.  A node
+    whose word is longer than max_len, or one past cap_nodes nodes, gives
+    up; exhausting the finite node space proves that no PDS exists."""
+    def moves(node):
         for a in range(n_inputs):
             child = _expand(node, a, nxt, out)
-            if child is None or child in visited:
-                continue
-            w2 = word + (a,)
-            if all(len(b) == 1 for b in child):
-                return PdsResult(FOUND, w2)
-            visited.add(child)
-            if len(visited) > cap_nodes:
-                return PdsResult(GAVE_UP)
-            queue.append((child, w2))
-    return PdsResult(GAVE_UP) if truncated else PdsResult(ABSENT)
+            if child is not None:
+                yield a, child
+
+    for count, (node, word) in enumerate(bfs_words((S,), moves), 1):
+        if max_len is not None and len(word) > max_len:
+            return PdsResult(GAVE_UP)
+        if not node:
+            return PdsResult(FOUND, word)
+        if count > cap_nodes:
+            return PdsResult(GAVE_UP)
+    return PdsResult(ABSENT)
 
 
 def shortest_pds(aut: MealyAutomaton, S: Iterable[int],
@@ -94,8 +87,12 @@ def shortest_pds(aut: MealyAutomaton, S: Iterable[int],
 
     Breadth-first search with canonical node deduplication; inputs are
     expanded in ascending order, so the first hit is the lex-least word
-    among the shortest ones.
+    among the shortest ones.  Under max_len the search gives up only once
+    a node lies beyond it, so "absent" always means that no word of any
+    length works.
     """
+    if max_len is not None and max_len < 0:
+        raise ValueError("max_len must be non-negative")
     S = tuple(sorted(set(S)))
     if len(S) < 2:
         raise ValueError("S must contain at least 2 states")

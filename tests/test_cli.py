@@ -45,6 +45,34 @@ class TestPds:
         assert code == 0
         assert value_of(out, "status") == "absent"
 
+    def test_exhausted_under_max_len_is_absent(self, tmp_path, capsys):
+        # one input swaps two states with equal outputs: the search space
+        # is used up within the length bound, so absence is proven
+        path = str(tmp_path / "swap.maut")
+        fileio.dump(fileio.loads("mealy 2 1 1\n0 0 1 0\n1 0 0 0\n"), path)
+        code = dispatch(["pds", "--file", path, "--subset", "0,1",
+                         "--max-len", "1"])
+        out = lines_of(capsys)
+        assert code == 0
+        assert value_of(out, "status") == "absent"
+
+    def test_negative_max_len_is_error(self, fig1_file, capsys):
+        capsys.readouterr()
+        code = dispatch(["pds", "--file", fig1_file, "--subset", "1,3",
+                         "--max-len", "-1"])
+        out = lines_of(capsys)
+        assert code == 1
+        assert value_of(out, "status") == "error"
+
+    def test_node_cap_gives_up(self, fig1_file, capsys):
+        capsys.readouterr()
+        code = dispatch(["pds", "--file", fig1_file, "--subset", "1,3",
+                         "--cap-nodes", "1"])
+        out = lines_of(capsys)
+        assert code == 2
+        assert value_of(out, "status") == "gave-up"
+        assert value_of(out, "result.cap_nodes") == "1"
+
     def test_missing_file_is_error(self, capsys):
         code = dispatch(["pds", "--file", "/nonexistent.maut", "--subset", "0,1"])
         out = lines_of(capsys)
@@ -195,7 +223,7 @@ class TestKgraphCommands:
         out = lines_of(capsys)
         assert code == 0
         assert value_of(out, "result.vertices") == "3"
-        assert open(dot).read().startswith("digraph")
+        assert Path(dot).read_text().startswith("digraph")
 
     def test_scc(self, capsys):
         code = dispatch(["kgraph", "scc", "--ground", "3", "--k", "2",
@@ -299,7 +327,7 @@ class TestBoundsCommands:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert dispatch(["bounds", "table", "--n-max", "12", "--csv", p1]) == 0
         assert dispatch(["bounds", "table", "--n-max", "12", "--csv", p2]) == 0
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_repeated_runs_identical_modulo_elapsed(fig1_file, capsys):

@@ -389,6 +389,23 @@ class TestSaturationLayout:
         assert eval_walk(Walk(g, w.start, tuple(new))) == eval_walk(w)
         assert 0 < len(calls) <= 2 * len(set(verts))
 
+    def test_piece_perms_once_per_distinct_piece(self, monkeypatch):
+        inst = sokolovskii_instance(5, 2)
+        g = build_kgraph(inst.basis, 2)
+        w = walk_from_basis_indices(g, inst.subsets[0], list(range(inst.m)) * 3)
+        comp = next(c for c in scc(g) if w.start in c)
+        _, pieces, _ = kgraph._saturation(g, w.start, list(w.steps), comp[0])
+        distinct = len(set(map(tuple, pieces)))
+        assert distinct < len(pieces)
+        calls = []
+        real = kgraph._walk_perm
+        monkeypatch.setattr(kgraph, "_walk_perm",
+                            lambda *a: calls.append(a) or real(*a))
+        new, _ = kgraph._compress_segment(g, w.start, list(w.steps), comp)
+        # one permutation per distinct piece, one loop order per vertex
+        assert len(calls) <= distinct + len(set(w.vertex_sequence()))
+        assert eval_walk(Walk(g, w.start, tuple(new))) == eval_walk(w)
+
 
 def test_restriction_complexity_respects_corollary_bound():
     # every realizable k=2 restriction costs < 2 C(n,2) (ell(S_2)+1)

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -20,6 +21,49 @@ def random_mealy(rng, n, a=2, b=2):
 
 def is_pds(aut, S, w):
     return uncertainty(aut, S, w).is_discrete()
+
+
+# The search over (initial, current) pairs, singleton blocks kept, as it
+# stood before nodes became blocks of current states: an independent
+# reference for the statuses and words of pds._search.
+def reference_expand(node, a, nxt, out):
+    blocks = []
+    for block in node:
+        groups = {}
+        for init, cur in block:
+            groups.setdefault(out[cur][a], []).append((init, nxt[cur][a]))
+        for g in groups.values():
+            if len(g) > 1 and len({c for _, c in g}) < len(g):
+                return None
+            blocks.append(tuple(g))
+    blocks.sort(key=lambda b: b[0][0])
+    return tuple(blocks)
+
+
+def reference_search(nxt, out, n_inputs, S, max_len, cap_nodes):
+    start = (tuple((q, q) for q in S),)
+    if all(len(b) == 1 for b in start):
+        return pds.PdsResult(FOUND, ())
+    visited = {start}
+    queue = deque([(start, ())])
+    truncated = False
+    while queue:
+        node, word = queue.popleft()
+        if max_len is not None and len(word) >= max_len:
+            truncated = True
+            continue
+        for a in range(n_inputs):
+            child = reference_expand(node, a, nxt, out)
+            if child is None or child in visited:
+                continue
+            w2 = word + (a,)
+            if all(len(b) == 1 for b in child):
+                return pds.PdsResult(FOUND, w2)
+            visited.add(child)
+            if len(visited) > cap_nodes:
+                return pds.PdsResult(GAVE_UP)
+            queue.append((child, w2))
+    return pds.PdsResult(GAVE_UP) if truncated else pds.PdsResult(ABSENT)
 
 
 class TestShortestPds:
@@ -55,11 +99,21 @@ class TestShortestPds:
         with pytest.raises(ValueError):
             shortest_pds(fig1_automaton(3), (0,))
 
+    def test_negative_max_len_rejected(self):
+        with pytest.raises(ValueError, match="max_len"):
+            shortest_pds(fig1_automaton(3), (0, 1), max_len=-1)
+
     def test_max_len_gives_up(self):
         aut = fig1_automaton(5)
         res = shortest_pds(aut, (1, 2), max_len=1)
         assert res.status == GAVE_UP
         assert shortest_pds(aut, (1, 2), max_len=5).status == FOUND
+
+    def test_exhausted_under_max_len_is_absent(self):
+        # one input swaps the two states and both output 0: the only node
+        # maps to itself, so the bounded search has proven absence
+        aut = MealyAutomaton(2, 1, 1, ((1,), (0,)), ((0,), (0,)))
+        assert shortest_pds(aut, (0, 1), max_len=1).status == ABSENT
 
     def test_gill_bound_on_solved_instances(self):
         rng = random.Random(12)
@@ -101,6 +155,38 @@ class TestShortestPdsProperties:
             assert not is_pds(aut, S, w)
         else:
             assert res.status != FOUND
+
+
+@st.composite
+def search_case(draw):
+    """(nxt, out, inputs, S, max_len) with n <= 6 and alphabets of at
+    most 3 letters."""
+    n, a, b = draw(st.integers(2, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def table(hi):
+        return draw(st.tuples(*[st.tuples(*[st.integers(0, hi)] * a)] * n))
+    S = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=2))))
+    max_len = draw(st.none() | st.integers(0, 4))
+    return table(n - 1), table(b - 1), a, S, max_len
+
+
+class TestSearchDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(search_case())
+    def test_matches_pair_node_search(self, case):
+        nxt, out, a, S, max_len = case
+        cap = pds.DEFAULT_NODE_CAP
+        res = pds._search(nxt, out, a, S, max_len, cap)
+        ref = reference_search(nxt, out, a, S, max_len, cap)
+        ref_unbounded = reference_search(nxt, out, a, S, None, cap)
+        assert res.word == ref.word
+        assert pds._search(nxt, out, a, S, None, cap) == ref_unbounded
+        # a bounded search may prove absence where the pair nodes gave up,
+        # but only where no PDS exists at any length
+        if res.status == ABSENT:
+            assert ref_unbounded.status == ABSENT
+        else:
+            assert res.status == ref.status
 
 
 class TestHasPds:
@@ -150,9 +236,11 @@ class TestWorstCase:
             worst_case_pds(3, 2, 2, 2, cap=100)
 
     def test_node_cap_hit_raises(self, monkeypatch):
+        # at n = 2 a search has at most one live node, so a cap of 1 needs
+        # a third state to be exceeded
         monkeypatch.setattr(pds, "DEFAULT_NODE_CAP", 1)
         with pytest.raises(CapExceeded, match="node cap 1"):
-            worst_case_pds(2, 2, 2, 2)
+            worst_case_pds(3, 2, 2, 2)
 
 
 def all_automata(n, a, b):
@@ -171,7 +259,7 @@ def reference_worst_case(n, a, b, k):
     best = (0, None, None)
     for nxt, out in all_automata(n, a, b):
         for S in subsets:
-            res = pds._search(nxt, out, a, S, None, pds.DEFAULT_NODE_CAP)
+            res = reference_search(nxt, out, a, S, None, pds.DEFAULT_NODE_CAP)
             if res.status == FOUND and res.length > best[0]:
                 best = (res.length, MealyAutomaton(n, a, b, nxt, out), S)
     return best
